@@ -8,9 +8,16 @@ quantity is
 with h the degree-free envelope bound. For fixed a in (0, 1) the threshold
 x*(a) is the largest x in [0, 1/2] with B(a, x) <= a, the per-a constant is
 C(a) = 1 / ((1 - a) x*(a)), and the published constant is the infimum of
-C(a) over a. All solvers are plain bisection and golden section; the
-functions involved are smooth except for a possible kink where x*(a) hits
-the cap 1/2.
+C(a) over a.
+
+With s = 1 - a the constraint B(a, x) <= a is a quadratic in s,
+
+    (kappa x^2 / 4) s^2 + (1 + x) s + (kappa x^2 / 4)(h(x) - 1)(h(x) - i) - 1 <= 0,
+
+so for fixed x the feasible s run up to the positive root s+(x), and the
+infimum of C(a) is 1 / max over x in (0, 1/2] of x s+(x). ``minimize_c`` finds
+that maximum with one golden-section search over x. The fixed-a threshold
+``solve_x`` asks the inverse question and stays a bisection on x.
 """
 
 import math
@@ -22,8 +29,7 @@ from .genfun import envelope_bound
 
 X_BISECTION_TOL = 1e-13
 X_CAP_SLACK = 1e-12
-A_GOLDEN_TOL = 1e-9
-A_GRID_STEP = 1e-3
+X_GOLDEN_TOL = 1e-12
 TABLE_CHECK_TOL = 5e-6
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -125,29 +131,38 @@ class BoundResult:
         return 1.0 / (self.c_star * delta)
 
 
-def minimize_c(class_index: int, kappa) -> BoundResult:
-    """Infimum of c_of_a over a in (0, 1).
+def _s_plus(class_index: int, kappa: float, x: float) -> float:
+    """Positive root in s = 1 - a of the quadratic form of B(a, x) = a.
 
-    A coarse grid brackets the minimizer, golden section narrows the bracket
-    to A_GOLDEN_TOL. The objective is unimodal with at worst one kink, which
-    golden section handles.
+    With q = kappa x^2 / 4, D = (h - 1)(h - i) and b = 1 + x the quadratic is
+    q s^2 + b s + (q D - 1) = 0. On [0, 1/2] q <= 1/16 and D <= 12, so q D < 1
+    and the root is positive. It is written without the cancelling difference
+    -b + sqrt(...), so q = 0 needs no separate branch.
+    """
+    h = envelope_bound(x)
+    q = kappa * x * x / 4.0
+    qd1 = q * (h - 1.0) * (h - class_index) - 1.0
+    b = 1.0 + x
+    return -2.0 * qd1 / (b + math.sqrt(b * b - 4.0 * q * qd1))
+
+
+def minimize_c(class_index: int, kappa) -> BoundResult:
+    """Infimum of c_of_a over a in (0, 1), via the maximum of x s+(x).
+
+    Golden section on x in [0, 1/2] narrows to X_GOLDEN_TOL; the endpoint
+    x = 1/2, where the kappa = 0 optimum lies (C = 3, a = 1/3), is compared
+    last and wins ties. The minimizer is a* = 1 - s+(x*).
     """
     _check_class(class_index)
     k = _as_float_kappa(kappa)
 
-    steps = round(1.0 / A_GRID_STEP) - 1
-    grid = [(j + 1) * A_GRID_STEP for j in range(steps)]
-    vals = [c_of_a(class_index, k, a) for a in grid]
-    j = min(range(len(grid)), key=lambda i: (vals[i], grid[i]))
-    lo = grid[j - 1] if j > 0 else grid[0]
-    hi = grid[j + 1] if j + 1 < len(grid) else grid[-1]
-
-    f = lambda a: c_of_a(class_index, k, a)
+    f = lambda x: x * _s_plus(class_index, k, x)
+    lo, hi = 0.0, 0.5
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
-    while hi - lo > A_GOLDEN_TOL:
-        if fc <= fd:
+    while hi - lo > X_GOLDEN_TOL:
+        if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INVPHI * (hi - lo)
             fc = f(c)
@@ -155,14 +170,16 @@ def minimize_c(class_index: int, kappa) -> BoundResult:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
-    a_star = c if fc <= fd else d
-    x_star = solve_x(class_index, k, a_star)
+    x_star = c if fc >= fd else d
+    if f(0.5) >= max(fc, fd):
+        x_star = 0.5
+    s_star = _s_plus(class_index, k, x_star)
     return BoundResult(
         class_index=class_index,
         kappa=k,
-        a_star=a_star,
+        a_star=1.0 - s_star,
         x_star=x_star,
-        c_star=1.0 / ((1.0 - a_star) * x_star),
+        c_star=1.0 / (x_star * s_star),
     )
 
 

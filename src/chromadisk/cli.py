@@ -16,12 +16,11 @@ import sys
 from .bounds import (
     TABLE_CHECK_TOL,
     REFERENCE_TABLE,
-    c_of_a,
+    BoundResult,
     constants_table,
     kappa_for_bounds,
     minimize_c,
     solve_x,
-    z_of_a,
 )
 from .chromatic import (
     DEFAULT_ORACLE_CAP,
@@ -184,13 +183,17 @@ def cmd_bounds(args) -> int:
     lines = []
     if args.a is not None:
         x = solve_x(i, kappa, args.a)
-        c = c_of_a(i, kappa, args.a)
+        if x <= 0.0:
+            raise DomainError(f"threshold x collapsed to zero at a = {args.a}")
+        c = 1.0 / ((1.0 - args.a) * x)
+        res = BoundResult(i, kappa, a_star=args.a, x_star=x, c_star=c)
         doc.update({"a": _r6(args.a), "x": _r6(x), "c": _r6(c)})
         lines.append(f"a={args.a:.6f} x={x:.6f} C={c:.6f}")
         if args.delta is not None:
-            z = z_of_a(i, kappa, args.a, args.delta)
-            doc.update({"delta": args.delta, "z": _r6(z), "radius": _r6(c * args.delta)})
-            lines.append(f"z={z:.6f} radius={c * args.delta:.6f}")
+            z = res.z_star(args.delta)
+            radius = res.disk_radius(args.delta)
+            doc.update({"delta": args.delta, "z": _r6(z), "radius": _r6(radius)})
+            lines.append(f"z={z:.6f} radius={radius:.6f}")
     else:
         res = minimize_c(i, kappa)
         doc.update(

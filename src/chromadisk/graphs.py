@@ -11,6 +11,13 @@ from itertools import combinations
 
 from .errors import DegenerateDegreeError, GraphFormatError
 
+# Largest vertex count parse_graph accepts from a header. Graph allocates one
+# adjacency set per vertex, so the header alone decides the memory a file can
+# ask for; 100000 empty vertices cost tens of megabytes, far above any graph
+# the exact routines can handle and above the thousands of vertices the
+# bound-only path is meant to serve.
+MAX_VERTICES = 100_000
+
 
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
@@ -91,8 +98,9 @@ def parse_graph(text: str) -> Graph:
     The first significant line is "n m"; the next m significant lines are
     "u v" with 0-based endpoints. Lines starting with '#' and blank lines are
     skipped. Duplicate edges collapse to one and leave a warning on the
-    returned graph's ``parse_warnings``. Anything else raises
-    GraphFormatError naming the offending line.
+    returned graph's ``parse_warnings``. A header with more than
+    MAX_VERTICES vertices is refused before anything is allocated. Anything
+    else raises GraphFormatError naming the offending line.
     """
     header = None
     n = m = 0
@@ -113,6 +121,11 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError("header must contain two integers", line_no)
             if n < 0 or m < 0:
                 raise GraphFormatError("counts must be nonnegative", line_no)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(
+                    f"vertex count {n} exceeds the limit MAX_VERTICES = {MAX_VERTICES}",
+                    line_no,
+                )
             header = line_no
             continue
         if len(edges) + len(warnings) >= m:

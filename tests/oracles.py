@@ -2,12 +2,23 @@
 
 Everything here is deliberately naive: exhaustive subset scans and explicit
 structure enumeration, no sharing with the package's algorithms beyond the
-closure definition itself.
+closure definition itself. The one exception is minimize_c_nested, a brute
+force over a built on the package's fixed-a threshold solve_x, which checks
+the closed-form minimize_c.
 """
 
+import math
 from itertools import combinations
 
-from chromadisk import Graph, VertexOrdering, is_penrose_forest, is_penrose_tree
+from chromadisk import (
+    BoundResult,
+    Graph,
+    VertexOrdering,
+    c_of_a,
+    is_penrose_forest,
+    is_penrose_tree,
+    solve_x,
+)
 
 
 def is_tree_edge_set(edges) -> bool:
@@ -136,3 +147,46 @@ def count_admissible_subtrees(d: int, m: int, n_max: int) -> list[int]:
         seen.add(sh)
         counts[s - 1] += 1
     return counts
+
+
+A_GOLDEN_TOL = 1e-9
+A_GRID_STEP = 1e-3
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def minimize_c_nested(class_index: int, kappa: float) -> BoundResult:
+    """Infimum of c_of_a over a in (0, 1) by brute force over a.
+
+    A grid of 999 values of a, each solved for x by bisection, brackets the
+    minimizer; golden section on a narrows the bracket to A_GOLDEN_TOL.
+    """
+    k = float(kappa)
+    steps = round(1.0 / A_GRID_STEP) - 1
+    grid = [(j + 1) * A_GRID_STEP for j in range(steps)]
+    vals = [c_of_a(class_index, k, a) for a in grid]
+    j = min(range(len(grid)), key=lambda i: (vals[i], grid[i]))
+    lo = grid[j - 1] if j > 0 else grid[0]
+    hi = grid[j + 1] if j + 1 < len(grid) else grid[-1]
+
+    f = lambda a: c_of_a(class_index, k, a)
+    c = hi - _INVPHI * (hi - lo)
+    d = lo + _INVPHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    while hi - lo > A_GOLDEN_TOL:
+        if fc <= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INVPHI * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INVPHI * (hi - lo)
+            fd = f(d)
+    a_star = c if fc <= fd else d
+    x_star = solve_x(class_index, k, a_star)
+    return BoundResult(
+        class_index=class_index,
+        kappa=k,
+        a_star=a_star,
+        x_star=x_star,
+        c_star=1.0 / ((1.0 - a_star) * x_star),
+    )

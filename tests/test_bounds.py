@@ -15,6 +15,7 @@ from chromadisk import (
     solve_x_linear,
     z_of_a,
 )
+from oracles import minimize_c_nested
 
 TOL = 5e-6
 
@@ -133,6 +134,27 @@ class TestMinimization:
         assert r.z_star(3) == pytest.approx(1 / 9, abs=1e-6)
         with pytest.raises(DomainError):
             r.disk_radius(2)
+
+
+class TestAgainstNestedSolve:
+    KAPPAS = [j / 20 for j in range(21)]
+
+    @pytest.mark.parametrize("class_index", [0, 1])
+    def test_matches_nested_route(self, class_index):
+        for kappa in self.KAPPAS:
+            r = minimize_c(class_index, kappa)
+            ref = minimize_c_nested(class_index, kappa)
+            assert abs(r.c_star - ref.c_star) <= 1e-6
+            assert abs(r.a_star - ref.a_star) <= 1e-6
+            assert abs(r.x_star - ref.x_star) <= 1e-6
+            # the closed form reaches the infimum the grid only brackets
+            assert r.c_star <= ref.c_star + 1e-9
+
+    def test_kappa_zero_exact_endpoint(self):
+        for i in (0, 1):
+            r = minimize_c(i, 0.0)
+            assert r.x_star == 0.5
+            assert abs(r.c_star - 3.0) <= 1e-12
 
 
 class TestTable:

@@ -74,6 +74,13 @@ class TestAnalyze:
         assert code == 1
         assert "error: line 2" in err
 
+    def test_huge_header_exits_one(self, tmp_path, capsys):
+        p = tmp_path / "huge.txt"
+        p.write_text("1000000000 0\n")
+        code, _, err = run(capsys, "analyze", str(p))
+        assert code == 1
+        assert "MAX_VERTICES = 100000" in err
+
     def test_missing_file_exits_one(self, capsys):
         code, _, err = run(capsys, "analyze", "/nonexistent/g.txt")
         assert code == 1

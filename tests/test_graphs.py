@@ -19,6 +19,7 @@ from chromadisk import (
     pair_independence_ratio,
     parse_graph,
 )
+from chromadisk.graphs import MAX_VERTICES
 from chromadisk.corpus import (
     claw_graph,
     complete_graph,
@@ -118,6 +119,13 @@ class TestParse:
         with pytest.raises(GraphFormatError) as exc:
             parse_graph("3 1\n0 1\n1 2")
         assert exc.value.line_no == 3
+
+    def test_vertex_limit(self):
+        assert parse_graph(f"{MAX_VERTICES} 0").n == MAX_VERTICES
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph(f"# header next\n{MAX_VERTICES + 1} 0")
+        assert exc.value.line_no == 2
+        assert "MAX_VERTICES" in str(exc.value)
 
     def test_empty_document(self):
         with pytest.raises(GraphFormatError):
