@@ -1,8 +1,10 @@
 """Finite simple graphs: construction, parsing, and neighborhood structure.
 
 Vertices are the integers 0..n-1. Edges are unordered pairs stored as sorted
-tuples. All classification routines are exhaustive scans; the package targets
-desk-scale graphs where the downstream verifiers dominate runtime anyway.
+tuples. The classification routines are local tests: each looks for a pair
+of non-adjacent vertices inside a neighborhood or a common neighborhood, so
+their cost grows with the number of vertices times the square of the maximum
+degree rather than with the number of vertex quadruples.
 """
 
 from dataclasses import dataclass
@@ -191,31 +193,31 @@ def is_claw_free(g: Graph) -> bool:
     return True
 
 
-def _induced_edge_count(g: Graph, quad) -> int:
-    return sum(1 for u, v in combinations(quad, 2) if v in g.adj[u])
+def _has_non_adjacent_pair(g: Graph, vertices) -> bool:
+    """True when two of the given vertices are not adjacent."""
+    return any(b not in g.adj[a] for a, b in combinations(vertices, 2))
 
 
 def is_square_free(g: Graph) -> bool:
     """True when no 4 vertices induce a chordless cycle.
 
-    On 4 vertices, exactly 4 induced edges with minimum degree 2 pins down
-    the 4-cycle, so a scan over quadruples suffices.
+    An induced 4-cycle is two non-adjacent vertices u, w together with two
+    non-adjacent common neighbors, so only pairs at distance two are tested.
     """
-    for quad in combinations(range(g.n), 4):
-        if _induced_edge_count(g, quad) != 4:
-            continue
-        degs = [sum(1 for w in quad if w != u and w in g.adj[u]) for u in quad]
-        if min(degs) == 2:
-            return False
+    for u in range(g.n):
+        for w in {w for v in g.adj[u] for w in g.adj[v]}:
+            if w > u and w not in g.adj[u] and _has_non_adjacent_pair(g, g.adj[u] & g.adj[w]):
+                return False
     return True
 
 
 def is_diamond_free(g: Graph) -> bool:
-    """True when no 4 vertices induce a complete graph minus one edge."""
-    for quad in combinations(range(g.n), 4):
-        if _induced_edge_count(g, quad) == 5:
-            return False
-    return True
+    """True when no 4 vertices induce a complete graph minus one edge.
+
+    A diamond is an edge whose endpoints have two non-adjacent common
+    neighbors.
+    """
+    return not any(_has_non_adjacent_pair(g, g.adj[u] & g.adj[v]) for u, v in g.edges)
 
 
 def classify(g: Graph) -> ClassMembership:

@@ -15,11 +15,18 @@ alternating evaluation reproduces the chromatic polynomial.
 
 from dataclasses import dataclass
 
-from .errors import ConditioningError, ContractViolationError, EnumerationCapError
+from .errors import ConditioningError, ContractViolationError, DomainError, EnumerationCapError
 from .graphs import Graph
 from .intpoly import IntPolynomial
 
 DEFAULT_FOREST_CAP = 12
+
+# Largest partition-scheme scan verify_partition_scheme runs, counted as the
+# sum of 2^|E(R)| over the vertex subsets R it checks. The scan keeps two
+# arrays of 2^|E(R)| entries for the subset at hand and costs a few
+# microseconds per mask, so the cap means tens of megabytes and about ten
+# seconds; K8 at r_max 8 (286,192,504 masks) is refused.
+MAX_SCHEME_MASKS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -396,30 +403,15 @@ def chromatic_via_penrose(
     return forest_to_chromatic(penrose_polynomial(g, ordering, max_vertices), g.n)
 
 
-def forest_polynomial(
-    g: Graph,
-    *,
-    method: str = "chromatic",
-    ordering: VertexOrdering | None = None,
-    cache=None,
-    max_vertices: int | None = None,
-) -> IntPolynomial:
-    """Forest-count polynomial by either route.
+def forest_polynomial(g: Graph, *, cache=None) -> IntPolynomial:
+    """Forest-count polynomial, converted from the deletion–contraction
+    chromatic polynomial; the counts do not depend on the vertex order.
+    ``penrose_polynomial`` counts the same forests directly."""
+    # Resolved at call time, so that a wrapper installed on the chromatic
+    # module's attribute (as tracing does) sees these calls.
+    from .chromatic import chromatic_deletion_contraction
 
-    method "chromatic" converts the deletion–contraction polynomial, which is
-    fast and ordering-free (the counts do not depend on the order). Method
-    "enumeration" counts Penrose forests directly under ``ordering``.
-    """
-    if method == "chromatic":
-        from .chromatic import chromatic_deletion_contraction
-
-        kw = {} if max_vertices is None else {"max_vertices": max_vertices}
-        p = chromatic_deletion_contraction(g, cache=cache, **kw)
-        return chromatic_to_forest(p)
-    if method == "enumeration":
-        cap = DEFAULT_FOREST_CAP if max_vertices is None else max_vertices
-        return penrose_polynomial(g, ordering, cap)
-    raise ValueError(f"unknown method {method!r}")
+    return chromatic_to_forest(chromatic_deletion_contraction(g, cache=cache))
 
 
 RATIO_DENOMINATOR_RTOL = 1e-9
@@ -462,80 +454,73 @@ def verify_partition_scheme(
 ) -> SchemeReport:
     """Check the interval partition of connected edge sets, subset by subset.
 
-    For every vertex subset R with at most r_max vertices, every connected
-    spanning subset of the induced edge set must lie in the closure interval
-    of exactly one spanning tree. Spanning means covering the vertices that
-    the induced edge set touches.
-    """
-    from itertools import combinations
+    For every vertex subset R with 2 to r_max vertices, every connected
+    spanning subset of the induced edge set E(R) must lie in the closure
+    interval [T, closure(T)] of exactly one spanning tree T. Spanning means
+    covering the vertices that E(R) touches.
 
+    Edge sets are bitmasks over E(R). Each spanning tree adds one hit to every
+    mask of its interval, and the connected spanning masks are exactly those
+    containing a spanning tree, found by closing the tree masks upward. The
+    scan holds two arrays of 2^|E(R)| entries per subset, so its size, the
+    sum of 2^|E(R)| over all subsets, is computed first and refused above
+    MAX_SCHEME_MASKS with EnumerationCapError. r_max below 2 checks nothing
+    and raises DomainError.
+    """
+    from itertools import combinations, compress
+
+    if r_max < 2:
+        raise DomainError(f"r_max must be at least 2, got {r_max}")
     if ordering is None:
         ordering = VertexOrdering.natural(g.n)
-    subsets = 0
-    edge_sets = 0
-    for r in range(2, min(r_max, g.n) + 1):
-        for rset in combinations(range(g.n), r):
-            rs = set(rset)
-            er = sorted(e for e in g.edges if e[0] in rs and e[1] in rs)
-            subsets += 1
-            if not er:
+
+    def induced_edge_sets():
+        for r in range(2, min(r_max, g.n) + 1):
+            for rs in map(frozenset, combinations(range(g.n), r)):
+                yield rs, sorted(e for e in g.edges if e[0] in rs and e[1] in rs)
+
+    size = sum(1 << len(er) for _, er in induced_edge_sets())
+    if size > MAX_SCHEME_MASKS:
+        raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
+    adj = _sorted_adj(g)
+    subsets = edge_sets = 0
+    for rs, er in induced_edge_sets():
+        subsets += 1
+        if not er:
+            continue
+        bit = {e: 1 << i for i, e in enumerate(er)}
+        support = {x for e in er for x in e}
+        hits = [0] * (1 << len(er))
+        spans = bytearray(1 << len(er))
+        for tree in _grow_all_trees(g, adj, ordering.least(support), support):
+            if len(tree) != len(support) - 1:
                 continue
-            support = sorted({x for e in er for x in e})
-            k = len(support)
-            trees = []
-            for cand in combinations(er, k - 1):
-                try:
-                    view = RootedTreeView(g, ordering, cand)
-                except ContractViolationError:
-                    continue
-                if view.vertices == frozenset(support):
-                    closure = penrose_closure(g, ordering, view)
-                    trees.append((frozenset(cand), closure))
-            pos = {v: i for i, v in enumerate(support)}
-            bit_adj = [[] for _ in range(k)]
-            for idx, (a, b) in enumerate(er):
-                bit_adj[pos[a]].append((pos[b], idx))
-                bit_adj[pos[b]].append((pos[a], idx))
-            full = (1 << k) - 1
-            for mask in range(1, 1 << len(er)):
-                chosen = [e for i, e in enumerate(er) if mask >> i & 1]
-                verts = 0
-                for a, b in chosen:
-                    verts |= 1 << pos[a]
-                    verts |= 1 << pos[b]
-                if verts != full:
-                    continue
-                in_mask = [False] * len(er)
-                for i in range(len(er)):
-                    if mask >> i & 1:
-                        in_mask[i] = True
-                stack = [0]
-                seen_count = 1
-                visited = [False] * k
-                visited[0] = True
-                while stack:
-                    x = stack.pop()
-                    for y, idx in bit_adj[x]:
-                        if in_mask[idx] and not visited[y]:
-                            visited[y] = True
-                            seen_count += 1
-                            stack.append(y)
-                if seen_count != k:
-                    continue
-                edge_sets += 1
-                cset = frozenset(chosen)
-                hits = sum(1 for t, clo in trees if t <= cset <= clo)
-                if hits != 1:
-                    return SchemeReport(
-                        passed=False,
-                        subsets_checked=subsets,
-                        edge_sets_checked=edge_sets,
-                        counterexample=SchemeCounterexample(
-                            subset=frozenset(rs),
-                            edge_set=cset,
-                            containing_trees=hits,
-                        ),
-                    )
+            t = sum(bit[e] for e in tree)
+            free = sum(bit[e] for e in penrose_closure(g, ordering, tree)) & ~t
+            spans[t] = 1
+            sub = free
+            while True:
+                hits[t | sub] += 1
+                if not sub:
+                    break
+                sub = (sub - 1) & free
+        for b in bit.values():
+            for mask in range(len(spans)):
+                if mask & b:
+                    spans[mask] |= spans[mask ^ b]
+        for mask in compress(range(len(spans)), spans):
+            edge_sets += 1
+            if hits[mask] != 1:
+                return SchemeReport(
+                    passed=False,
+                    subsets_checked=subsets,
+                    edge_sets_checked=edge_sets,
+                    counterexample=SchemeCounterexample(
+                        subset=rs,
+                        edge_set=frozenset(e for e in er if mask & bit[e]),
+                        containing_trees=hits[mask],
+                    ),
+                )
     return SchemeReport(
         passed=True,
         subsets_checked=subsets,

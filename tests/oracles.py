@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: exhaustive subset scans and explicit
 structure enumeration, no sharing with the package's algorithms beyond the
-closure definition itself. The one exception is minimize_c_nested, a brute
+closure definition itself. The exceptions are minimize_c_nested, a brute
 force over a built on the package's fixed-a threshold solve_x, which checks
-the closed-form minimize_c.
+the closed-form minimize_c, and verify_partition_scheme_scan, which tests
+every spanning tree against every connected edge set with the package's
+penrose_closure, looked up at call time so that a test can substitute it.
 """
 
 import math
@@ -12,13 +14,17 @@ from itertools import combinations
 
 from chromadisk import (
     BoundResult,
+    ContractViolationError,
     Graph,
+    RootedTreeView,
     VertexOrdering,
     c_of_a,
     is_penrose_forest,
     is_penrose_tree,
+    penrose,
     solve_x,
 )
+from chromadisk.penrose import SchemeCounterexample, SchemeReport
 
 
 def is_tree_edge_set(edges) -> bool:
@@ -105,6 +111,115 @@ def neighborhood_complement_claw_free(g: Graph) -> bool:
             if (a, b) in comp and (a, c) in comp and (b, c) in comp:
                 return False
     return True
+
+
+def _induced_edge_count(g: Graph, quad) -> int:
+    return sum(1 for u, v in combinations(quad, 2) if v in g.adj[u])
+
+
+def is_square_free_scan(g: Graph) -> bool:
+    """No 4 vertices induce a chordless cycle, by a scan over quadruples.
+
+    On 4 vertices, exactly 4 induced edges with minimum degree 2 pins down
+    the 4-cycle.
+    """
+    for quad in combinations(range(g.n), 4):
+        if _induced_edge_count(g, quad) != 4:
+            continue
+        degs = [sum(1 for w in quad if w != u and w in g.adj[u]) for u in quad]
+        if min(degs) == 2:
+            return False
+    return True
+
+
+def is_diamond_free_scan(g: Graph) -> bool:
+    """No 4 vertices induce K4 minus an edge, by a scan over quadruples."""
+    for quad in combinations(range(g.n), 4):
+        if _induced_edge_count(g, quad) == 5:
+            return False
+    return True
+
+
+def verify_partition_scheme_scan(
+    g: Graph, ordering: VertexOrdering | None = None, r_max: int = 6
+) -> SchemeReport:
+    """The interval partition check by brute force: every (k-1)-subset of the
+    induced edges is tested for being a spanning tree, every edge mask for
+    being connected and spanning, and every connected spanning set against
+    every tree interval."""
+    if ordering is None:
+        ordering = VertexOrdering.natural(g.n)
+    subsets = 0
+    edge_sets = 0
+    for r in range(2, min(r_max, g.n) + 1):
+        for rset in combinations(range(g.n), r):
+            rs = set(rset)
+            er = sorted(e for e in g.edges if e[0] in rs and e[1] in rs)
+            subsets += 1
+            if not er:
+                continue
+            support = sorted({x for e in er for x in e})
+            k = len(support)
+            trees = []
+            for cand in combinations(er, k - 1):
+                try:
+                    view = RootedTreeView(g, ordering, cand)
+                except ContractViolationError:
+                    continue
+                if view.vertices == frozenset(support):
+                    closure = penrose.penrose_closure(g, ordering, view)
+                    trees.append((frozenset(cand), closure))
+            pos = {v: i for i, v in enumerate(support)}
+            bit_adj = [[] for _ in range(k)]
+            for idx, (a, b) in enumerate(er):
+                bit_adj[pos[a]].append((pos[b], idx))
+                bit_adj[pos[b]].append((pos[a], idx))
+            full = (1 << k) - 1
+            for mask in range(1, 1 << len(er)):
+                chosen = [e for i, e in enumerate(er) if mask >> i & 1]
+                verts = 0
+                for a, b in chosen:
+                    verts |= 1 << pos[a]
+                    verts |= 1 << pos[b]
+                if verts != full:
+                    continue
+                in_mask = [False] * len(er)
+                for i in range(len(er)):
+                    if mask >> i & 1:
+                        in_mask[i] = True
+                stack = [0]
+                seen_count = 1
+                visited = [False] * k
+                visited[0] = True
+                while stack:
+                    x = stack.pop()
+                    for y, idx in bit_adj[x]:
+                        if in_mask[idx] and not visited[y]:
+                            visited[y] = True
+                            seen_count += 1
+                            stack.append(y)
+                if seen_count != k:
+                    continue
+                edge_sets += 1
+                cset = frozenset(chosen)
+                hits = sum(1 for t, clo in trees if t <= cset <= clo)
+                if hits != 1:
+                    return SchemeReport(
+                        passed=False,
+                        subsets_checked=subsets,
+                        edge_sets_checked=edge_sets,
+                        counterexample=SchemeCounterexample(
+                            subset=frozenset(rs),
+                            edge_set=cset,
+                            containing_trees=hits,
+                        ),
+                    )
+    return SchemeReport(
+        passed=True,
+        subsets_checked=subsets,
+        edge_sets_checked=edge_sets,
+        counterexample=None,
+    )
 
 
 def count_admissible_subtrees(d: int, m: int, n_max: int) -> list[int]:

@@ -233,6 +233,20 @@ class TestVerifyScheme:
         assert code == 0
         assert "partition check: pass" in out
 
+    def test_scan_size_cap_exits_two(self, tmp_path, capsys):
+        path = gfile(tmp_path, "k8.txt", complete_graph(8))
+        code, out, err = run(capsys, "verify-scheme", path, "--rmax", "8")
+        assert code == 2
+        assert out == ""
+        assert "286192504" in err and str(1 << 22) in err
+
+    def test_rmax_below_two_exits_one(self, tmp_path, capsys):
+        path = gfile(tmp_path, "k3.txt", complete_graph(3))
+        code, out, err = run(capsys, "verify-scheme", path, "--rmax", "1")
+        assert code == 1
+        assert out == ""
+        assert "r_max" in err
+
 
 class TestRoots:
     def test_k3(self, tmp_path, capsys):

@@ -21,15 +21,22 @@ from chromadisk import (
 )
 from chromadisk.graphs import MAX_VERTICES
 from chromadisk.corpus import (
+    all_graphs_up_to_iso,
     claw_graph,
     complete_graph,
     cycle_graph,
     diamond_graph,
     line_graph,
     octahedron,
+    random_connected_graph,
     random_graph,
+    random_graph_batch,
 )
-from oracles import neighborhood_complement_claw_free
+from oracles import (
+    is_diamond_free_scan,
+    is_square_free_scan,
+    neighborhood_complement_claw_free,
+)
 
 
 def k3():
@@ -177,6 +184,22 @@ class TestDegreeAndClasses:
         cm = classify(octahedron())
         assert cm.claw_free
         assert cm.class_index == 0
+
+    def test_local_tests_match_quadruple_scans(self):
+        graphs = [g for n in range(1, 7) for g in all_graphs_up_to_iso(n)]
+        graphs += random_graph_batch()
+        graphs += [
+            line_graph(random_connected_graph(n, extra, seed=seed))
+            for n in (6, 7, 8)
+            for extra in (1, 2, 3)
+            for seed in range(5)
+        ]
+        flags = set()
+        for g in graphs:
+            sf, df = is_square_free(g), is_diamond_free(g)
+            assert (sf, df) == (is_square_free_scan(g), is_diamond_free_scan(g)), g
+            flags.add((sf, df))
+        assert flags == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestNeighborhoodStats:

@@ -20,6 +20,7 @@ from chromadisk import (
     is_penrose_forest,
     is_penrose_tree,
     obstruction_check,
+    penrose,
     penrose_closure,
     penrose_polynomial,
     penrose_trees_containing,
@@ -28,18 +29,22 @@ from chromadisk import (
 )
 from chromadisk.corpus import (
     all_graphs_up_to_iso,
+    antiprism_graph,
     complete_graph,
     cycle_graph,
     diamond_graph,
+    octahedron,
     path_graph,
     random_graph,
     random_ordering,
+    scheme_corpus,
 )
 from oracles import (
     brute_force_penrose_forests,
     brute_force_penrose_trees_containing,
     brute_force_trees_containing,
     is_forest_edge_set,
+    verify_partition_scheme_scan,
 )
 
 
@@ -322,13 +327,7 @@ class TestChromaticIdentity:
 class TestForestPolynomialRoutes:
     def test_routes_agree(self):
         for g in [k3(), cycle_graph(5), random_graph(7, 0.4, seed=13)]:
-            assert forest_polynomial(g, method="chromatic") == forest_polynomial(
-                g, method="enumeration"
-            )
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            forest_polynomial(k3(), method="guess")
+            assert forest_polynomial(g) == penrose_polynomial(g)
 
 
 class TestRatio:
@@ -382,6 +381,52 @@ class TestPartitionScheme:
         g = random_graph(6, 0.6, seed=17)
         o = VertexOrdering.from_order(random_ordering(6, 99))
         assert verify_partition_scheme(g, o, r_max=5).passed
+
+
+def _scheme_cases():
+    graphs = scheme_corpus() + [complete_graph(6), octahedron(), antiprism_graph(4)]
+    for i, g in enumerate(graphs):
+        yield g, nat(g.n)
+        yield g, VertexOrdering.from_order(random_ordering(g.n, 400 + i))
+
+
+def _tree_view(g, ordering, tree):
+    if isinstance(tree, RootedTreeView):
+        return tree
+    return RootedTreeView(g, ordering, tree)
+
+
+def _tree_only_closure(g, ordering, tree):
+    return _tree_view(g, ordering, tree).edges
+
+
+def _all_chords_closure(g, ordering, tree):
+    vs = _tree_view(g, ordering, tree).vertices
+    return frozenset(e for e in g.edges if e[0] in vs and e[1] in vs)
+
+
+class TestPartitionSchemeAgainstScan:
+    def test_reports_match_scan(self):
+        for g, o in _scheme_cases():
+            rep = verify_partition_scheme(g, o)
+            assert rep.passed
+            assert rep == verify_partition_scheme_scan(g, o)
+
+    @pytest.mark.parametrize(
+        "closure, hits",
+        [(_tree_only_closure, lambda h: h == 0), (_all_chords_closure, lambda h: h >= 2)],
+        ids=["gaps", "overlaps"],
+    )
+    def test_broken_closure_reports_match_scan(self, monkeypatch, closure, hits):
+        monkeypatch.setattr(penrose, "penrose_closure", closure)
+        failed = 0
+        for g, o in _scheme_cases():
+            rep = verify_partition_scheme(g, o)
+            assert rep == verify_partition_scheme_scan(g, o)
+            if not rep.passed:
+                failed += 1
+                assert hits(rep.counterexample.containing_trees)
+        assert failed > 0
 
 
 def _merge_edges(u, pair, forest_edges):
