@@ -1,9 +1,12 @@
 """Chromatic polynomials by deletion and contraction, and their roots.
 
-The recursion memoizes on an isomorphism-invariant key (iterated neighbor
-label refinement), with an exact isomorphism test inside each bucket so hash
-collisions can never return a wrong polynomial. Components multiply, and
-trees, cycles, and complete graphs short-circuit to closed forms.
+The recursion memoizes solved minors. A minor's key is its vertex and edge
+counts and a hash of its label refinement (``graphs.refinement_certificate``),
+which isomorphic minors share; within a key, ``graphs.isomorphic`` decides
+each stored candidate, so a hash collision costs one more test and can never
+return a wrong polynomial. Minors are stored as tuples of adjacency bitmasks,
+and two equal tuples need no search. Components multiply, and trees, cycles,
+and complete graphs short-circuit to closed forms.
 """
 
 from dataclasses import dataclass
@@ -11,78 +14,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationCapError
-from .graphs import Graph
+from .graphs import Graph, components, isomorphic, refinement_certificate
 from .intpoly import IntPolynomial
 
 DEFAULT_ORACLE_CAP = 16
 
 
-def _refined_labels(n: int, adj, rounds: int = 3) -> tuple[int, ...]:
-    labels = [len(adj[v]) for v in range(n)]
-    for _ in range(rounds):
-        sig = [(labels[v], tuple(sorted(labels[w] for w in adj[v]))) for v in range(n)]
-        table = {s: i for i, s in enumerate(sorted(set(sig)))}
-        nxt = [table[s] for s in sig]
-        if nxt == labels:
-            break
-        labels = nxt
-    return tuple(labels)
-
-
-def _isomorphic(n, adj1, labels1, adj2, labels2) -> bool:
-    """Backtracking vertex match, candidates restricted by refined label."""
-    if sorted(labels1) != sorted(labels2):
-        return False
-    by_label: dict[int, list[int]] = {}
-    for v in range(n):
-        by_label.setdefault(labels2[v], []).append(v)
-    order = sorted(range(n), key=lambda v: (len(by_label[labels1[v]]), -len(adj1[v])))
-    mapping = [-1] * n
-    inverse = [-1] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in by_label[labels1[v]]:
-            if inverse[w] != -1 or len(adj1[v]) != len(adj2[w]):
-                continue
-            ok = True
-            for x in adj1[v]:
-                mx = mapping[x]
-                if mx != -1 and mx not in adj2[w]:
-                    ok = False
-                    break
-            if ok:
-                for y in adj2[w]:
-                    iy = inverse[y]
-                    if iy != -1 and iy not in adj1[v]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = w
-            inverse[w] = v
-            if extend(i + 1):
-                return True
-            mapping[v] = -1
-            inverse[w] = -1
-        return False
-
-    return extend(0)
-
-
 class ChromaticCache:
-    """Bucketed store of solved minors keyed by the refinement invariant."""
+    """Solved minors, bucketed by (n, m, refinement certificate).
+
+    Isomorphic minors share a certificate, so a lookup probes only the
+    entries of one bucket, and those are nearly always isomorphic to the
+    query; ``graphs.isomorphic`` decides each probe, so a colliding
+    certificate costs an extra probe and never a wrong polynomial. Each entry
+    keeps the minor as a tuple of adjacency bitmasks with its refined labels.
+    ``hits`` and ``misses`` count lookups; ``probes`` counts isomorphism
+    tests, so ``probes - hits`` is the number of probes that found no match.
+    """
 
     def __init__(self):
         self._buckets: dict[tuple, list] = {}
         self.hits = 0
         self.misses = 0
+        self.probes = 0
 
-    def lookup(self, key, n, adj, labels):
+    def lookup(self, key, adj, labels):
         for stored_adj, stored_labels, poly in self._buckets.get(key, ()):
-            if _isomorphic(n, adj, labels, stored_adj, stored_labels):
+            self.probes += 1
+            if isomorphic(adj, labels, stored_adj, stored_labels):
                 self.hits += 1
                 return poly
         self.misses += 1
@@ -95,35 +54,10 @@ class ChromaticCache:
         self._buckets.clear()
         self.hits = 0
         self.misses = 0
+        self.probes = 0
 
 
 _default_cache = ChromaticCache()
-
-
-def _edges_to_adj(n, edges):
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return [frozenset(s) for s in adj]
-
-
-def _components(n, adj):
-    comp = [-1] * n
-    c = 0
-    for s in range(n):
-        if comp[s] != -1:
-            continue
-        stack = [s]
-        comp[s] = c
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if comp[y] == -1:
-                    comp[y] = c
-                    stack.append(y)
-        c += 1
-    return comp, c
 
 
 def _compact(vertices, edges):
@@ -146,17 +80,20 @@ def _cycle_poly(n: int) -> IntPolynomial:
 def _solve(n, edges, cache):
     if not edges:
         return IntPolynomial.monomial(n)
-    adj = _edges_to_adj(n, edges)
-    touched = {x for e in edges for x in e}
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    touched = [v for v in range(n) if adj[v]]
     if len(touched) < n:
         nn, ee = _compact(touched, edges)
         return IntPolynomial.monomial(n - len(touched)) * _solve(nn, ee, cache)
-    comp, c = _components(n, adj)
-    if c > 1:
+    comps = components(adj)
+    if len(comps) > 1:
         poly = IntPolynomial.one()
-        for ci in range(c):
-            verts = [v for v in range(n) if comp[v] == ci]
-            sub = [e for e in edges if comp[e[0]] == ci]
+        for comp in comps:
+            verts = [v for v in range(n) if comp >> v & 1]
+            sub = [e for e in edges if comp >> e[0] & 1]
             nn, ee = _compact(verts, sub)
             poly = poly * _solve(nn, ee, cache)
         return poly
@@ -165,15 +102,16 @@ def _solve(n, edges, cache):
         return _tree_poly(n)
     if m == n * (n - 1) // 2:
         return IntPolynomial.falling_factorial(n)
-    if all(len(adj[v]) == 2 for v in range(n)):
+    if all(a.bit_count() == 2 for a in adj):
         return _cycle_poly(n)
-    labels = _refined_labels(n, adj)
-    key = (n, m, tuple(sorted(labels)))
-    hit = cache.lookup(key, n, adj, labels)
+    adj = tuple(adj)
+    certificate, labels = refinement_certificate(adj)
+    key = (n, m, certificate)
+    hit = cache.lookup(key, adj, labels)
     if hit is not None:
         return hit
     # contract the edge with the most common neighbors; collapses triangles fast
-    u, v = max(edges, key=lambda e: (len(adj[e[0]] & adj[e[1]]), -e[0], -e[1]))
+    u, v = max(edges, key=lambda e: ((adj[e[0]] & adj[e[1]]).bit_count(), -e[0], -e[1]))
     deleted = edges - {(u, v)}
     merged = set()
     for a, b in deleted:

@@ -7,8 +7,15 @@ named corpora are built the same way on every call.
 import random
 from itertools import combinations
 
-from .chromatic import _isomorphic, _refined_labels
-from .graphs import Graph, classify, is_claw_free
+from .graphs import (
+    Graph,
+    adjacency_masks,
+    classify,
+    components,
+    is_claw_free,
+    isomorphic,
+    refinement_certificate,
+)
 
 
 def empty_graph(n: int) -> Graph:
@@ -142,16 +149,11 @@ def iso_distinct(graphs) -> list[Graph]:
     buckets: dict[tuple, list] = {}
     out = []
     for g in graphs:
-        labels = _refined_labels(g.n, g.adj)
-        key = (g.n, g.m, tuple(sorted(labels)))
-        known = buckets.setdefault(key, [])
-        dup = False
-        for h, h_labels in known:
-            if _isomorphic(g.n, g.adj, labels, h.adj, h_labels):
-                dup = True
-                break
-        if not dup:
-            known.append((g, labels))
+        adj = adjacency_masks(g)
+        certificate, labels = refinement_certificate(adj)
+        known = buckets.setdefault((g.n, g.m, certificate), [])
+        if not any(isomorphic(adj, labels, h_adj, h_labels) for h_adj, h_labels in known):
+            known.append((adj, labels))
             out.append(g)
     return out
 
@@ -179,15 +181,10 @@ def connected_graphs_with_edges(m_max: int) -> list[Graph]:
     A connected graph with m edges has at most m + 1 vertices, so scanning
     vertex counts up to m_max + 1 is exhaustive.
     """
-    from .chromatic import _components
-
     out = []
     for n in range(2, m_max + 2):
         for g in all_graphs_up_to_iso(n):
-            if not 1 <= g.m <= m_max:
-                continue
-            _, c = _components(g.n, g.adj)
-            if c == 1:
+            if 1 <= g.m <= m_max and len(components(adjacency_masks(g))) == 1:
                 out.append(g)
     return out
 

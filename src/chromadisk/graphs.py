@@ -5,6 +5,11 @@ tuples. The classification routines are local tests: each looks for a pair
 of non-adjacent vertices inside a neighborhood or a common neighborhood, so
 their cost grows with the number of vertices times the square of the maximum
 degree rather than with the number of vertex quadruples.
+
+The functions at the end work on adjacency bitmasks: connected components,
+a refinement certificate that isomorphic graphs share, and an exact
+isomorphism test. The chromatic oracle's memo and corpus.iso_distinct use
+them.
 """
 
 from dataclasses import dataclass
@@ -268,3 +273,116 @@ def neighborhood_stats(g: Graph) -> NeighborhoodStats:
 def pair_independence_ratio(g: Graph) -> Fraction:
     """Exact kappa; raises DegenerateDegreeError when max degree <= 1."""
     return neighborhood_stats(g).kappa
+
+
+# Adjacency bitmasks: adj[v] has bit w set when v and w are adjacent. The
+# functions below serve the chromatic oracle's memo, whose minors are stored
+# in this form, and corpus.iso_distinct.
+
+REFINEMENT_ROUNDS = 3
+
+
+def adjacency_masks(g: Graph) -> tuple[int, ...]:
+    return tuple(sum(1 << w for w in g.adj[v]) for v in range(g.n))
+
+
+def _bits(mask: int) -> list[int]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def components(adj) -> list[int]:
+    """Vertex bitmasks of the connected components, by least vertex."""
+    out = []
+    rest = (1 << len(adj)) - 1
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def refinement_certificate(adj) -> tuple[int, tuple[int, ...]]:
+    """Isomorphism-invariant hash of a graph, and the vertex labels behind it.
+
+    Labels start as degrees. Each round gives every vertex the signature
+    (its label, the sorted labels of its neighbors) and renumbers the
+    signatures in sorted order; rounds stop after REFINEMENT_ROUNDS or once
+    a round splits no class. The certificate hashes the sorted signature
+    list of every round, so it is a plain int that is the same in every
+    process. Isomorphic graphs get equal certificates, and an isomorphism
+    maps each vertex to one with the same label. Unequal certificates prove
+    two graphs non-isomorphic; equal ones prove nothing, which is what
+    ``isomorphic`` decides.
+    """
+    n = len(adj)
+    nbrs = [_bits(a) for a in adj]
+    labels = [len(nb) for nb in nbrs]
+    classes = len(set(labels))
+    rounds = []
+    for _ in range(REFINEMENT_ROUNDS):
+        sig = [(labels[v], tuple(sorted([labels[w] for w in nbrs[v]]))) for v in range(n)]
+        ordered = tuple(sorted(sig))
+        rounds.append(ordered)
+        table = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
+        labels = [table[s] for s in sig]
+        if len(table) == classes:
+            break
+        classes = len(table)
+    return hash(tuple(rounds)), tuple(labels)
+
+
+def isomorphic(adj1, labels1, adj2, labels2) -> bool:
+    """Whether the graphs with adjacency bitmasks adj1 and adj2 are isomorphic.
+
+    Equal bitmask tuples answer at once. Otherwise a backtracking search maps
+    the vertices of the first graph, in a fixed order, to unused vertices of
+    the second with the same label and degree whose adjacency to the
+    vertices mapped so far matches. A True answer is an isomorphism whatever
+    the labels; labels from ``refinement_certificate`` of the two graphs make
+    the answer exact, and prune the search to candidates that can match.
+    """
+    if adj1 == adj2:
+        return True
+    n = len(adj1)
+    if n != len(adj2) or sorted(labels1) != sorted(labels2):
+        return False
+    by_label: dict[int, list[int]] = {}
+    for w in range(n):
+        by_label.setdefault(labels2[w], []).append(w)
+    deg1 = [a.bit_count() for a in adj1]
+    deg2 = [a.bit_count() for a in adj2]
+    order = sorted(range(n), key=lambda v: (len(by_label[labels1[v]]), -deg1[v]))
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    # earlier[i]: positions j < i whose vertex is adjacent to order[i]
+    earlier = [[pos[x] for x in _bits(adj1[v]) if pos[x] < i] for i, v in enumerate(order)]
+    image = [0] * n
+
+    def extend(i: int, used: int) -> bool:
+        if i == n:
+            return True
+        v = order[i]
+        target = 0
+        for j in earlier[i]:
+            target |= 1 << image[j]
+        for w in by_label[labels1[v]]:
+            if used >> w & 1 or deg2[w] != deg1[v] or adj2[w] & used != target:
+                continue
+            image[i] = w
+            if extend(i + 1, used | 1 << w):
+                return True
+        return False
+
+    return extend(0, 0)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,14 +13,27 @@ from chromadisk import (
     count_proper_colorings,
     polynomial_roots,
 )
+from chromadisk import chromatic, corpus
 from chromadisk.corpus import (
+    antiprism_graph,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    icosahedron,
+    iso_distinct,
+    line_graph,
+    octahedron,
     path_graph,
     random_graph,
+    random_graph_batch,
+    scheme_corpus,
     star_graph,
+    wheel_graph,
 )
+
+
+def _circulant(n, steps):
+    return Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in steps})
 
 
 class TestClosedForms:
@@ -102,7 +117,57 @@ class TestCacheAndInvariance:
         cache = ChromaticCache()
         chromatic_deletion_contraction(random_graph(6, 0.5, seed=5), cache=cache)
         cache.clear()
-        assert cache.hits == 0 and cache.misses == 0
+        assert cache.hits == 0 and cache.misses == 0 and cache.probes == 0
+
+
+class TestMemoKey:
+    # The hits and misses were recorded with the key (n, m, sorted refined
+    # labels); every isomorphism-invariant key gives the same counts.
+    @pytest.mark.parametrize(
+        "g, hits, misses",
+        [
+            (line_graph(complete_graph(5)), 446, 476),
+            (icosahedron(), 1136, 1198),
+            (_circulant(12, (1, 2)), 235, 267),
+        ],
+        ids=["L(K5)", "icosahedron", "C12(1,2)"],
+    )
+    def test_probes_find_isomorphic_entries(self, g, hits, misses):
+        cache = ChromaticCache()
+        chromatic_deletion_contraction(g, cache=cache)
+        assert (cache.hits, cache.misses) == (hits, misses)
+        assert cache.probes - cache.hits <= 0.05 * (cache.hits + cache.misses)
+
+    @pytest.mark.parametrize("labels", ["constant", "refined"])
+    def test_colliding_certificates_stay_exact(self, monkeypatch, labels):
+        graphs = random_graph_batch() + scheme_corpus() + [
+            octahedron(),
+            wheel_graph(5),
+            antiprism_graph(4),
+            line_graph(complete_graph(4)),
+        ]
+        want = [chromatic_deletion_contraction(g, cache=ChromaticCache()) for g in graphs]
+        real = chromatic.refinement_certificate
+
+        def collide(adj):
+            return 0, ((0,) * len(adj) if labels == "constant" else real(adj)[1])
+
+        monkeypatch.setattr(chromatic, "refinement_certificate", collide)
+        monkeypatch.setattr(corpus, "refinement_certificate", collide)
+        cache = ChromaticCache()
+        for g, p in zip(graphs, want):
+            got = chromatic_deletion_contraction(g, cache=cache)
+            assert got == p
+            assert [got(q) for q in range(5)] == [count_proper_colorings(g, q) for q in range(5)]
+        assert cache.probes > cache.hits > 0
+        labelled = []
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            labelled += [
+                Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                for mask in range(1 << len(pairs))
+            ]
+        assert len(iso_distinct(labelled)) == 52
 
 
 class TestCap:

@@ -19,13 +19,20 @@ from chromadisk import (
     pair_independence_ratio,
     parse_graph,
 )
-from chromadisk.graphs import MAX_VERTICES
+from chromadisk.graphs import (
+    MAX_VERTICES,
+    adjacency_masks,
+    components,
+    isomorphic,
+    refinement_certificate,
+)
 from chromadisk.corpus import (
     all_graphs_up_to_iso,
     claw_graph,
     complete_graph,
     cycle_graph,
     diamond_graph,
+    disjoint_union,
     line_graph,
     octahedron,
     random_connected_graph,
@@ -278,3 +285,29 @@ class TestInvariants:
                 edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
                 g = Graph(n, edges)
                 assert is_claw_free(g) == neighborhood_complement_claw_free(g)
+
+
+class TestIsomorphism:
+    @given(st.integers(min_value=0, max_value=10_000), st.permutations(list(range(7))))
+    @settings(max_examples=60, deadline=None)
+    def test_relabeled_copy_shares_certificate_and_matches(self, seed, perm):
+        g = random_graph(7, 0.5, seed=seed)
+        a, b = adjacency_masks(g), adjacency_masks(g.relabel(perm))
+        (ca, la), (cb, lb) = refinement_certificate(a), refinement_certificate(b)
+        assert ca == cb
+        assert all(la[v] == lb[perm[v]] for v in range(7))
+        assert isomorphic(a, la, b, lb)
+
+    def test_equal_certificates_of_non_isomorphic_graphs(self):
+        # both 2-regular on six vertices: refinement cannot tell them apart
+        hexagon = adjacency_masks(cycle_graph(6))
+        triangles = adjacency_masks(disjoint_union(complete_graph(3), complete_graph(3)))
+        (ch, lh), (ct, lt) = refinement_certificate(hexagon), refinement_certificate(triangles)
+        assert ch == ct
+        assert not isomorphic(hexagon, lh, triangles, lt)
+        shuffled = adjacency_masks(cycle_graph(6).relabel([3, 5, 1, 0, 2, 4]))
+        assert isomorphic(hexagon, (0,) * 6, shuffled, (0,) * 6)
+
+    def test_components(self):
+        g = disjoint_union(cycle_graph(4), Graph(3, [(0, 2)]))
+        assert components(adjacency_masks(g)) == [0b1111, 0b1010000, 0b100000]
