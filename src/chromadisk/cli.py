@@ -48,16 +48,21 @@ _IDENTITY_SHUFFLE_SEED = 1789
 
 
 def _cap_override(flag_value: int | None) -> int | None:
-    """Explicit flag wins, then the environment variable, then None."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError(f"{ENV_CAP} must be an integer, got {raw!r}")
+    """Explicit flag wins, then the environment variable, then None.
+
+    A negative cap raises DomainError."""
+    source, cap = "--max-enum", flag_value
+    if cap is None:
+        source, raw = ENV_CAP, os.environ.get(ENV_CAP)
+        if raw is None:
+            return None
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise DomainError(f"{ENV_CAP} must be an integer, got {raw!r}")
+    if cap < 0:
+        raise DomainError(f"{source} must not be negative, got {cap}")
+    return cap
 
 
 def _r6(x: float) -> float:

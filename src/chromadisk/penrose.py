@@ -9,6 +9,14 @@ two components together (no graph edge between components qualifies, which for
 vertex-disjoint trees is automatic since closure edges stay inside one tree's
 vertex set).
 
+Every enumeration grows trees from a fixed root, the order-least vertex it may
+use, so a vertex's depth and father never change once it is attached and the
+chords it closes are known then. One rule, ``_closure_chords``, lists them; it
+serves ``penrose_closure`` too. Growth that skips attachments adding a chord
+yields the Penrose trees, for forest counting and trees through a vertex;
+growth that keeps them yields every subtree with its chords, for the
+partition-scheme verifier.
+
 Forests are collected by edge count into a generating polynomial whose
 alternating evaluation reproduces the chromatic polynomial.
 """
@@ -127,23 +135,9 @@ def penrose_closure(g: Graph, ordering: VertexOrdering, tree) -> frozenset:
     endpoint by one level, y comes after x's father in the order.
     """
     t = tree if isinstance(tree, RootedTreeView) else RootedTreeView(g, ordering, tree)
-    rank = ordering.rank
     out = set(t.edges)
-    verts = sorted(t.vertices)
-    for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            if y not in g.adj[x]:
-                continue
-            e = (x, y)
-            if e in t.edges:
-                continue
-            dx, dy = t.depth[x], t.depth[y]
-            if dx == dy:
-                out.add(e)
-            elif dx == dy + 1 and rank[y] > rank[t.father[x]]:
-                out.add(e)
-            elif dy == dx + 1 and rank[x] > rank[t.father[y]]:
-                out.add(e)
+    for w, x in t.father.items():
+        out.update(_closure_chords(g.adj, ordering.rank, t.depth, w, x))
     return frozenset(out)
 
 
@@ -209,86 +203,72 @@ def _sorted_adj(g: Graph) -> list[tuple[int, ...]]:
     return [tuple(sorted(s)) for s in g.adj]
 
 
-def _grow_penrose_trees(g, rank, adj, v, allowed):
-    """Yield edge-tuples of Penrose trees rooted at v inside ``allowed``.
+def _closure_chords(adj, rank, depth, w, x):
+    """Closure chords joining w, a child of x, to tree vertices no deeper than w.
 
-    Requires v to be the rank-least member of allowed so the root never
-    changes as the tree grows. The empty tree (v alone) is yielded first.
-    A vertex is only attached when none of its graph edges back into the
-    current tree would qualify for the closure; such a chord can never be
-    removed by later growth, which makes the pruning safe.
+    ``depth`` maps the vertices of a tree rooted at its order-least vertex;
+    w need not be in it yet. A graph edge {w, y} qualifies when y is at w's
+    depth, or one level above w and after x in the order; tree edges never
+    do. A closure chord joins two vertices at equal depth or one level apart,
+    so applying the rule at every vertex of a tree finds each chord at its
+    deeper end.
+    """
+    dx = depth[x]
+    out = []
+    for y in adj[w]:
+        if y in depth and (
+            depth[y] == dx + 1 or (depth[y] == dx and rank[y] > rank[x])
+        ):
+            out.append((w, y) if w < y else (y, w))
+    return out
+
+
+def _grow_trees(adj, rank, v, allowed, penrose_only):
+    """Yield (tree edges, closure chords) of the subtrees rooted at v inside
+    ``allowed``; the empty tree, v alone, comes first.
+
+    v must be the order-least member of ``allowed``, so the root, and with it
+    every depth and father, stays fixed as the tree grows. Candidate edges
+    are used in the order they were found, and one skipped is not used again
+    below, so vertices join in order of depth: the chords found when a vertex
+    joins are all the chords it closes, and final. With ``penrose_only`` an
+    attachment that adds a chord is skipped, which leaves exactly the Penrose
+    trees, since later growth never removes a chord.
     """
     depth = {v: 0}
-    father: dict[int, int] = {}
     tree: list[tuple[int, int]] = []
-
-    def chord_free(w, x):
-        dw = depth[x] + 1
-        for y in adj[w]:
-            if y == x or y not in depth:
-                continue
-            dy = depth[y]
-            if dy == dw:
-                return False
-            if dy == dw - 1 and rank[y] > rank[x]:
-                return False
-            if dy == dw + 1 and rank[w] > rank[father[y]]:
-                return False
-        return True
+    chords: list[tuple[int, int]] = []
+    steps = {x: [(x, y) for y in adj[x] if y in allowed] for x in allowed}
 
     def rec(cands):
-        yield tuple(tree)
+        yield tuple(tree), tuple(chords)
         for i in range(len(cands)):
             x, w = cands[i]
             if w in depth:
                 continue
-            if not chord_free(w, x):
-                continue
+            new = _closure_chords(adj, rank, depth, w, x)
+            if new:
+                if penrose_only:
+                    continue
+                chords.extend(new)
             depth[w] = depth[x] + 1
-            father[w] = x
             tree.append((x, w) if x < w else (w, x))
-            nxt = cands[i + 1 :] + [
-                (w, y) for y in adj[w] if y not in depth and y in allowed
-            ]
-            yield from rec(nxt)
+            yield from rec(cands[i + 1 :] + steps[w])
+            if new:
+                del chords[-len(new) :]
             tree.pop()
             del depth[w]
-            del father[w]
 
-    yield from rec([(v, y) for y in adj[v] if y in allowed])
-
-
-def _grow_all_trees(g, adj, v, allowed):
-    """Yield edge-tuples of all subtrees containing v inside ``allowed``."""
-    inside = {v}
-    tree: list[tuple[int, int]] = []
-
-    def rec(cands):
-        yield tuple(tree)
-        for i in range(len(cands)):
-            x, w = cands[i]
-            if w in inside:
-                continue
-            inside.add(w)
-            tree.append((x, w) if x < w else (w, x))
-            nxt = cands[i + 1 :] + [
-                (w, y) for y in adj[w] if y not in inside and y in allowed
-            ]
-            yield from rec(nxt)
-            tree.pop()
-            inside.discard(w)
-
-    yield from rec([(v, y) for y in adj[v] if y in allowed])
+    yield from rec(steps[v])
 
 
 def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed=None):
     """Yield the edge sets of Penrose trees whose vertex set contains v.
 
     ``allowed`` restricts the usable vertices (v must belong to it). The empty
-    tree, v alone, is included. When v is the order-least allowed vertex the
-    enumeration prunes closure violations as it grows; otherwise trees are
-    grown freely and filtered, because attaching an earlier vertex re-roots
-    the tree and can change every depth.
+    tree, v alone, is included. Each tree is grown from its root: for every
+    allowed r not after v, the Penrose trees rooted at r inside the allowed
+    vertices not before r are grown, and those that reach v are kept.
     """
     if allowed is None:
         allowed = frozenset(range(g.n))
@@ -298,12 +278,14 @@ def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed
         raise ContractViolationError("v must be in the allowed set")
     adj = _sorted_adj(g)
     rank = ordering.rank
-    if all(rank[w] >= rank[v] for w in allowed):
-        return (frozenset(t) for t in _grow_penrose_trees(g, rank, adj, v, allowed))
+    roots = [r for r in ordering.order[: rank[v] + 1] if r in allowed]
     return (
-        frozenset(t)
-        for t in _grow_all_trees(g, adj, v, allowed)
-        if not t or is_penrose_tree(g, ordering, t)
+        frozenset(tree)
+        for r in roots
+        for tree, _ in _grow_trees(
+            adj, rank, r, frozenset(w for w in allowed if rank[w] >= rank[r]), True
+        )
+        if r == v or any(v in e for e in tree)
     )
 
 
@@ -330,11 +312,9 @@ def enumerate_penrose_forests(
             return
         v = min(avail, key=rank.__getitem__)
         yield from rec(avail - {v}, acc)
-        for tree in _grow_penrose_trees(g, rank, adj, v, avail):
-            if not tree:
-                continue
-            used = {x for e in tree for x in e}
-            yield from rec(avail - used, acc + [frozenset(tree)])
+        for tree, _ in _grow_trees(adj, rank, v, avail, True):
+            if tree:
+                yield from rec(avail.difference(*tree), acc + [frozenset(tree)])
 
     return rec(frozenset(range(g.n)), [])
 
@@ -364,12 +344,11 @@ def penrose_polynomial(
             return hit
         v = min(avail, key=rank.__getitem__)
         acc = list(count(avail - {v}))
-        for tree in _grow_penrose_trees(g, rank, adj, v, avail):
+        for tree, _ in _grow_trees(adj, rank, v, avail, True):
             k = len(tree)
             if k == 0:
                 continue
-            used = {x for e in tree for x in e}
-            sub = count(avail - used)
+            sub = count(avail.difference(*tree))
             if len(acc) < len(sub) + k:
                 acc.extend([0] * (len(sub) + k - len(acc)))
             for j, c in enumerate(sub):
@@ -465,7 +444,9 @@ def verify_partition_scheme(
     scan holds two arrays of 2^|E(R)| entries per subset, so its size, the
     sum of 2^|E(R)| over all subsets, is computed first and refused above
     MAX_SCHEME_MASKS with EnumerationCapError. r_max below 2 checks nothing
-    and raises DomainError.
+    and raises DomainError. The spanning trees are grown from the order-least
+    vertex of the support, each with the closure chords collected as it grew,
+    which are the free edges of its interval.
     """
     from itertools import combinations, compress
 
@@ -492,11 +473,12 @@ def verify_partition_scheme(
         support = {x for e in er for x in e}
         hits = [0] * (1 << len(er))
         spans = bytearray(1 << len(er))
-        for tree in _grow_all_trees(g, adj, ordering.least(support), support):
+        root = ordering.least(support)
+        for tree, chords in _grow_trees(adj, ordering.rank, root, support, False):
             if len(tree) != len(support) - 1:
                 continue
             t = sum(bit[e] for e in tree)
-            free = sum(bit[e] for e in penrose_closure(g, ordering, tree)) & ~t
+            free = sum(bit[e] for e in chords)
             spans[t] = 1
             sub = free
             while True:

@@ -6,7 +6,9 @@ closure definition itself. The exceptions are minimize_c_nested, a brute
 force over a built on the package's fixed-a threshold solve_x, which checks
 the closed-form minimize_c, and verify_partition_scheme_scan, which tests
 every spanning tree against every connected edge set with the package's
-penrose_closure, looked up at call time so that a test can substitute it.
+penrose_closure. That function applies the chord rule penrose._closure_chords,
+which the package's verifier applies too, so a test that substitutes the rule
+changes both sides alike.
 """
 
 import math

@@ -114,6 +114,14 @@ class TestAnalyze:
         assert code == 1
         assert "CHROMADISK_MAX_ENUM" in err
 
+    def test_negative_env_cap_exits_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CHROMADISK_MAX_ENUM", "-3")
+        path = gfile(tmp_path, "k3.txt", complete_graph(3))
+        code, out, err = run(capsys, "analyze", path)
+        assert code == 1
+        assert out == ""
+        assert "CHROMADISK_MAX_ENUM must not be negative" in err
+
     def test_duplicate_edge_warning_surfaces(self, tmp_path, capsys):
         p = tmp_path / "dup.txt"
         p.write_text("3 3\n0 1\n0 1\n1 2\n")
@@ -232,6 +240,13 @@ class TestVerifyScheme:
         code, out, _ = run(capsys, "verify-scheme", path, "--max-enum", "13")
         assert code == 0
         assert "partition check: pass" in out
+
+    def test_negative_cap_flag_exits_one(self, tmp_path, capsys):
+        path = gfile(tmp_path, "k3.txt", complete_graph(3))
+        code, out, err = run(capsys, "verify-scheme", path, "--max-enum", "-3")
+        assert code == 1
+        assert out == ""
+        assert "--max-enum must not be negative" in err
 
     def test_scan_size_cap_exits_two(self, tmp_path, capsys):
         path = gfile(tmp_path, "k8.txt", complete_graph(8))

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -259,11 +260,19 @@ class TestTreesContaining:
                 assert set(got) == set(want)
 
     def test_general_path_matches_brute_force(self):
-        # v is not order-least, so trees re-root as they grow
-        for g in all_graphs_up_to_iso(5):
-            o = nat(5)
-            got = list(penrose_trees_containing(g, o, 3))
-            want = brute_force_penrose_trees_containing(g, o, 3)
+        # v is not order-least, so trees through v have roots before it
+        cases = [(g, nat(5), 3, None) for g in all_graphs_up_to_iso(5)]
+        for seed in range(8):
+            n = 6 + seed % 2
+            g = random_graph(n, 0.5, seed=seed)
+            o = VertexOrdering.from_order(random_ordering(n, 50 + seed))
+            v = o.order[n // 2]
+            rng = random.Random(seed)
+            allowed = {v, rng.choice(o.order[: n // 2]), *rng.sample(range(n), n - 3)}
+            cases += [(g, o, v, None), (g, o, v, allowed)]
+        for g, o, v, allowed in cases:
+            got = list(penrose_trees_containing(g, o, v, allowed=allowed))
+            want = brute_force_penrose_trees_containing(g, o, v, allowed)
             assert len(got) == len(set(got))
             assert set(got) == set(want)
 
@@ -390,19 +399,17 @@ def _scheme_cases():
         yield g, VertexOrdering.from_order(random_ordering(g.n, 400 + i))
 
 
-def _tree_view(g, ordering, tree):
-    if isinstance(tree, RootedTreeView):
-        return tree
-    return RootedTreeView(g, ordering, tree)
+def _no_chords(adj, rank, depth, w, x):
+    return []
 
 
-def _tree_only_closure(g, ordering, tree):
-    return _tree_view(g, ordering, tree).edges
-
-
-def _all_chords_closure(g, ordering, tree):
-    vs = _tree_view(g, ordering, tree).vertices
-    return frozenset(e for e in g.edges if e[0] in vs and e[1] in vs)
+def _every_chord(adj, rank, depth, w, x):
+    # every edge from w to a tree vertex no deeper than w, but its father
+    return [
+        (w, y) if w < y else (y, w)
+        for y in adj[w]
+        if y in depth and y != x and depth[y] <= depth[x] + 1
+    ]
 
 
 class TestPartitionSchemeAgainstScan:
@@ -413,12 +420,13 @@ class TestPartitionSchemeAgainstScan:
             assert rep == verify_partition_scheme_scan(g, o)
 
     @pytest.mark.parametrize(
-        "closure, hits",
-        [(_tree_only_closure, lambda h: h == 0), (_all_chords_closure, lambda h: h >= 2)],
+        "chords, hits",
+        [(_no_chords, lambda h: h == 0), (_every_chord, lambda h: h >= 2)],
         ids=["gaps", "overlaps"],
     )
-    def test_broken_closure_reports_match_scan(self, monkeypatch, closure, hits):
-        monkeypatch.setattr(penrose, "penrose_closure", closure)
+    def test_broken_closure_reports_match_scan(self, monkeypatch, chords, hits):
+        # the verifier and, through penrose_closure, the scan share the rule
+        monkeypatch.setattr(penrose, "_closure_chords", chords)
         failed = 0
         for g, o in _scheme_cases():
             rep = verify_partition_scheme(g, o)
