@@ -24,13 +24,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, EnumerationCapError
 from .genfun import envelope_bound
 
 X_BISECTION_TOL = 1e-13
 X_CAP_SLACK = 1e-12
 X_GOLDEN_TOL = 1e-12
 TABLE_CHECK_TOL = 5e-6
+# Rows constants_table solves at most: step 1e-4, about a second and a half.
+MAX_TABLE_ROWS = 10_001
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -195,13 +197,17 @@ class ConstantsRow:
 def constants_table(step: float = 0.1) -> list[ConstantsRow]:
     """Rows (kappa, C for class 0, C for class 1, both minimizers) on a grid.
 
-    The grid is kappa = 0, step, 2 step, ..., 1; step must divide 1.
+    The grid is kappa = 0, step, 2 step, ..., 1; step must divide 1. A grid
+    of more than MAX_TABLE_ROWS rows is refused with EnumerationCapError
+    before anything is solved.
     """
     if not 0.0 < step <= 1.0:
         raise DomainError("step must lie in (0, 1]")
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1")
+    if count + 1 > MAX_TABLE_ROWS:
+        raise EnumerationCapError("constants table", count + 1, MAX_TABLE_ROWS)
     rows = []
     for j in range(count + 1):
         kappa = j / count

@@ -1,12 +1,17 @@
 """Chromatic polynomials by deletion and contraction, and their roots.
 
-The recursion memoizes solved minors. A minor's key is its vertex and edge
-counts and a hash of its label refinement (``graphs.refinement_certificate``),
-which isomorphic minors share; within a key, ``graphs.isomorphic`` decides
-each stored candidate, so a hash collision costs one more test and can never
-return a wrong polynomial. Minors are stored as tuples of adjacency bitmasks,
-and two equal tuples need no search. Components multiply, and trees, cycles,
-and complete graphs short-circuit to closed forms.
+The recursion works on tuples of adjacency bitmasks. Each step first drops
+simplicial vertices, whose neighbours are pairwise adjacent: such a vertex v
+contributes the factor (q - deg v), so trees, complete graphs and other
+chordal graphs never branch. What is left splits into components, cycles
+take their closed form, and any other connected minor is looked up in a
+memo before its most-triangled edge is deleted and contracted. A minor's
+key is its vertex and edge counts and a hash of its label refinement
+(``graphs.refinement_certificate``), which isomorphic minors share; within
+a key, ``graphs.isomorphic`` decides each stored candidate, so a hash
+collision costs one more test and can never return a wrong polynomial.
+Input graphs are also remembered by their bitmask tuples, so a repeated
+input is answered before any of this starts.
 """
 
 from dataclasses import dataclass
@@ -14,26 +19,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EnumerationCapError
-from .graphs import Graph, components, isomorphic, refinement_certificate
+from .graphs import Graph, adjacency_masks, components, isomorphic, refinement_certificate
 from .intpoly import IntPolynomial
 
 DEFAULT_ORACLE_CAP = 16
 
 
 class ChromaticCache:
-    """Solved minors, bucketed by (n, m, refinement certificate).
+    """Solved minors, bucketed by (n, m, refinement certificate), and solved inputs.
 
     Isomorphic minors share a certificate, so a lookup probes only the
     entries of one bucket, and those are nearly always isomorphic to the
     query; ``graphs.isomorphic`` decides each probe, so a colliding
     certificate costs an extra probe and never a wrong polynomial. Each entry
     keeps the minor as a tuple of adjacency bitmasks with its refined labels.
-    ``hits`` and ``misses`` count lookups; ``probes`` counts isomorphism
-    tests, so ``probes - hits`` is the number of probes that found no match.
+    Input graphs are kept apart, keyed by their exact bitmask tuples, and a
+    repeated input counts as a hit without a probe. ``hits`` and ``misses``
+    count lookups; ``probes`` counts isomorphism tests, so ``probes - hits``
+    is at most the number of probes that found no match.
     """
 
     def __init__(self):
         self._buckets: dict[tuple, list] = {}
+        self._inputs: dict[tuple, IntPolynomial] = {}
         self.hits = 0
         self.misses = 0
         self.probes = 0
@@ -52,6 +60,7 @@ class ChromaticCache:
 
     def clear(self):
         self._buckets.clear()
+        self._inputs.clear()
         self.hits = 0
         self.misses = 0
         self.probes = 0
@@ -60,16 +69,50 @@ class ChromaticCache:
 _default_cache = ChromaticCache()
 
 
-def _compact(vertices, edges):
-    vs = sorted(vertices)
-    pos = {v: i for i, v in enumerate(vs)}
-    return len(vs), frozenset(
-        (min(pos[u], pos[v]), max(pos[u], pos[v])) for u, v in edges
-    )
+def _restrict(adj, keep: int) -> tuple[int, ...]:
+    """Adjacency of the subgraph induced by the vertex mask keep, renumbered in order."""
+    out = [a for v, a in enumerate(adj) if keep >> v & 1]
+    drop = ((1 << len(adj)) - 1) & ~keep
+    while drop:
+        v = drop.bit_length() - 1
+        drop ^= 1 << v
+        low = (1 << v) - 1
+        out = [(a & low) | (a >> (v + 1) << v) for a in out]
+    return tuple(out)
 
 
-def _tree_poly(n: int) -> IntPolynomial:
-    return IntPolynomial((0, 1)) * (IntPolynomial((-1, 1)) ** (n - 1))
+def _peel(adj) -> tuple[IntPolynomial, tuple[int, ...]]:
+    """Drop simplicial vertices while there are any; P_G = (q - deg v) P_{G-v}.
+
+    Returns the product of the dropped vertices' factors and the adjacency of
+    the vertices left, renumbered in order. A simplicial vertex stays
+    simplicial when other vertices go, so the vertices left do not depend on
+    the order of removal; only the neighbours of a dropped vertex are tested
+    again.
+    """
+    adj = list(adj)
+    factor = IntPolynomial.one()
+    alive = todo = (1 << len(adj)) - 1
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        a = adj[bit.bit_length() - 1]
+        rest = a
+        while rest:
+            w = rest & -rest
+            if (adj[w.bit_length() - 1] | w) & a != a:
+                break
+            rest ^= w
+        else:
+            factor = factor * IntPolynomial((-a.bit_count(), 1))
+            alive ^= bit
+            todo |= a
+            rest = a
+            while rest:
+                w = rest & -rest
+                adj[w.bit_length() - 1] ^= bit
+                rest ^= w
+    return factor, _restrict(adj, alive)
 
 
 def _cycle_poly(n: int) -> IntPolynomial:
@@ -77,50 +120,66 @@ def _cycle_poly(n: int) -> IntPolynomial:
     return qm1 ** n + qm1.scale((-1) ** n)
 
 
-def _solve(n, edges, cache):
-    if not edges:
-        return IntPolynomial.monomial(n)
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    touched = [v for v in range(n) if adj[v]]
-    if len(touched) < n:
-        nn, ee = _compact(touched, edges)
-        return IntPolynomial.monomial(n - len(touched)) * _solve(nn, ee, cache)
+def _contraction_edge(adj) -> tuple[int, int]:
+    """The edge (u, v), u < v, with the most common neighbours; ties go to the least."""
+    best = -1
+    for u, a in enumerate(adj):
+        later = a >> (u + 1) << (u + 1)
+        while later:
+            w = later & -later
+            later ^= w
+            v = w.bit_length() - 1
+            common = (a & adj[v]).bit_count()
+            if common > best:
+                best, edge = common, (u, v)
+    return edge
+
+
+def _contract(adj, u: int, v: int) -> tuple[int, ...]:
+    """G / uv for u < v: v merges into u and the later vertices move down by one."""
+    bu, bv = 1 << u, 1 << v
+    low = bv - 1
+    out = []
+    for x, a in enumerate(adj):
+        if x == v:
+            continue
+        if x == u:
+            a = (a | adj[v]) & ~(bu | bv)
+        elif a & bv:
+            a |= bu
+        out.append((a & low) | (a >> (v + 1) << v))
+    return tuple(out)
+
+
+def _solve(adj, cache) -> IntPolynomial:
+    poly, adj = _peel(adj)
+    if not adj:
+        return poly
     comps = components(adj)
     if len(comps) > 1:
-        poly = IntPolynomial.one()
         for comp in comps:
-            verts = [v for v in range(n) if comp >> v & 1]
-            sub = [e for e in edges if comp >> e[0] & 1]
-            nn, ee = _compact(verts, sub)
-            poly = poly * _solve(nn, ee, cache)
+            poly = poly * _solve_connected(_restrict(adj, comp), cache)
         return poly
-    m = len(edges)
-    if m == n - 1:
-        return _tree_poly(n)
-    if m == n * (n - 1) // 2:
-        return IntPolynomial.falling_factorial(n)
-    if all(a.bit_count() == 2 for a in adj):
+    return poly * _solve_connected(adj, cache)
+
+
+def _solve_connected(adj, cache) -> IntPolynomial:
+    """A connected graph with no simplicial vertex, so every degree is at least 2."""
+    n = len(adj)
+    degrees = [a.bit_count() for a in adj]
+    if all(d == 2 for d in degrees):
         return _cycle_poly(n)
-    adj = tuple(adj)
     certificate, labels = refinement_certificate(adj)
-    key = (n, m, certificate)
+    key = (n, sum(degrees) // 2, certificate)
     hit = cache.lookup(key, adj, labels)
     if hit is not None:
         return hit
     # contract the edge with the most common neighbors; collapses triangles fast
-    u, v = max(edges, key=lambda e: ((adj[e[0]] & adj[e[1]]).bit_count(), -e[0], -e[1]))
-    deleted = edges - {(u, v)}
-    merged = set()
-    for a, b in deleted:
-        x = u if a == v else a
-        y = u if b == v else b
-        if x != y:
-            merged.add((x, y) if x < y else (y, x))
-    nn, ee = _compact(sorted(set(range(n)) - {v}), merged)
-    poly = _solve(n, deleted, cache) - _solve(nn, ee, cache)
+    u, v = _contraction_edge(adj)
+    deleted = list(adj)
+    deleted[u] ^= 1 << v
+    deleted[v] ^= 1 << u
+    poly = _solve(deleted, cache) - _solve(_contract(adj, u, v), cache)
     cache.store(key, adj, labels, poly)
     return poly
 
@@ -132,13 +191,21 @@ def chromatic_deletion_contraction(
 
     Refuses graphs above ``max_vertices`` (default 16); the recursion is
     exponential and this package targets desk-scale instances. Passing a
-    shared ChromaticCache makes repeated induced-subgraph calls cheap.
+    shared ChromaticCache makes repeated induced-subgraph calls cheap, and
+    a graph equal to an earlier input is answered from the cache at once.
     """
     if g.n > max_vertices:
         raise EnumerationCapError("deletion-contraction", g.n, max_vertices)
     if cache is None:
         cache = _default_cache
-    return _solve(g.n, frozenset(g.edges), cache)
+    adj = adjacency_masks(g)
+    poly = cache._inputs.get(adj)
+    if poly is not None:
+        cache.hits += 1
+        return poly
+    poly = _solve(adj, cache)
+    cache._inputs[adj] = poly
+    return poly
 
 
 def count_proper_colorings(g: Graph, q: int) -> int:

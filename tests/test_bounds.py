@@ -1,10 +1,13 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from chromadisk import bounds
 from chromadisk import (
     BoundResult,
     DomainError,
+    EnumerationCapError,
     REFERENCE_TABLE,
     c_of_a,
     constants_table,
@@ -15,6 +18,7 @@ from chromadisk import (
     solve_x_linear,
     z_of_a,
 )
+from chromadisk.bounds import MAX_TABLE_ROWS
 from oracles import minimize_c_nested
 
 TOL = 5e-6
@@ -186,6 +190,23 @@ class TestTable:
             constants_table(step=0.3)
         with pytest.raises(DomainError):
             constants_table(step=0.0)
+
+    def test_refuses_rows_above_cap(self, monkeypatch):
+        calls = []
+
+        def stub(class_index, kappa):
+            calls.append(kappa)
+            return SimpleNamespace(c_star=3.0, a_star=0.5)
+
+        monkeypatch.setattr(bounds, "minimize_c", stub)
+        with pytest.raises(EnumerationCapError) as exc:
+            constants_table(step=1e-9)
+        assert (exc.value.size, exc.value.cap) == (1_000_000_001, MAX_TABLE_ROWS)
+        with pytest.raises(EnumerationCapError) as exc:
+            constants_table(step=1 / 10_001)
+        assert exc.value.size == 10_002
+        assert calls == []
+        assert len(constants_table(step=1e-4)) == MAX_TABLE_ROWS == 10_001
 
 
 class TestKappaConversion:

@@ -14,6 +14,7 @@ from chromadisk import (
     polynomial_roots,
 )
 from chromadisk import chromatic, corpus
+from chromadisk.graphs import adjacency_masks
 from chromadisk.corpus import (
     antiprism_graph,
     complete_graph,
@@ -120,15 +121,68 @@ class TestCacheAndInvariance:
         assert cache.hits == 0 and cache.misses == 0 and cache.probes == 0
 
 
+class TestPeel:
+    @staticmethod
+    def _fan(k):
+        return Graph(k + 1, [(0, i) for i in range(1, k + 1)] + [(i, i + 1) for i in range(1, k)])
+
+    def test_chordal_inputs_need_no_lookup(self):
+        graphs = [Graph(n, []) for n in (1, 3, 5)] + [
+            Graph(6, [(1, 3), (3, 4), (1, 4)]),
+            path_graph(2),
+            path_graph(6),
+            star_graph(5),
+            complete_graph(5),
+            complete_graph(6),
+            self._fan(3),
+            self._fan(5),
+        ]
+        for g in graphs:
+            cache = ChromaticCache()
+            p = chromatic_deletion_contraction(g, cache=cache)
+            assert cache.hits + cache.misses == 0
+            assert [p(q) for q in range(g.n + 1)] == [
+                count_proper_colorings(g, q) for q in range(g.n + 1)
+            ]
+
+    def test_graphs_without_simplicial_vertices(self):
+        qm1 = IntPolynomial((-1, 1))
+        for n in (4, 5, 8):
+            g = cycle_graph(n)
+            assert chromatic._peel(adjacency_masks(g))[1] == adjacency_masks(g)
+            assert chromatic_deletion_contraction(g, cache=ChromaticCache()) == (
+                qm1 ** n + qm1.scale((-1) ** n)
+            )
+        for g in (octahedron(), icosahedron()):
+            assert chromatic._peel(adjacency_masks(g))[1] == adjacency_masks(g)
+            cache = ChromaticCache()
+            p = chromatic_deletion_contraction(g, cache=cache)
+            assert cache.misses > 0
+            assert [p(q) for q in range(5)] == [count_proper_colorings(g, q) for q in range(5)]
+
+    def test_repeated_input_is_one_hit(self):
+        cache = ChromaticCache()
+        g = octahedron()
+        first = chromatic_deletion_contraction(g, cache=cache)
+        counts = (cache.hits, cache.misses, cache.probes)
+        assert counts[1] > 0
+        again = chromatic_deletion_contraction(Graph(g.n, sorted(g.edges)), cache=cache)
+        assert again == first
+        assert (cache.hits, cache.misses, cache.probes) == (counts[0] + 1, counts[1], counts[2])
+        cache.clear()
+        assert chromatic_deletion_contraction(g, cache=cache) == first
+        assert (cache.hits, cache.misses, cache.probes) == counts
+
+
 class TestMemoKey:
-    # The hits and misses were recorded with the key (n, m, sorted refined
-    # labels); every isomorphism-invariant key gives the same counts.
+    # The hits and misses were recorded with simplicial vertices peeled before
+    # each lookup; every isomorphism-invariant key gives the same counts.
     @pytest.mark.parametrize(
         "g, hits, misses",
         [
-            (line_graph(complete_graph(5)), 446, 476),
-            (icosahedron(), 1136, 1198),
-            (_circulant(12, (1, 2)), 235, 267),
+            (line_graph(complete_graph(5)), 297, 330),
+            (icosahedron(), 526, 560),
+            (_circulant(12, (1, 2)), 89, 110),
         ],
         ids=["L(K5)", "icosahedron", "C12(1,2)"],
     )

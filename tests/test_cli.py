@@ -201,6 +201,12 @@ class TestTable:
         assert code == 1
         assert "error:" in err
 
+    def test_row_cap_exits_two(self, capsys):
+        code, out, err = run(capsys, "table1", "--step", "1e-9", "--json")
+        assert code == 2
+        assert out == ""
+        assert "constants table: size 1000000001 exceeds cap 10001" in err
+
 
 class TestVerifyScheme:
     def test_k3(self, tmp_path, capsys):
