@@ -11,6 +11,7 @@ output.
 import argparse
 import json
 import os
+import random
 import sys
 
 from .bounds import (
@@ -289,10 +290,8 @@ def cmd_verify_scheme(args) -> int:
     oracle = chromatic_deletion_contraction(g, max_vertices=oracle_cap)
     identity_ok = True
     orderings = [VertexOrdering.natural(g.n)]
-    import random as _random
-
     shuffled = list(range(g.n))
-    _random.Random(_IDENTITY_SHUFFLE_SEED + g.n).shuffle(shuffled)
+    random.Random(_IDENTITY_SHUFFLE_SEED + g.n).shuffle(shuffled)
     orderings.append(VertexOrdering.from_order(shuffled))
     for ordering in orderings:
         if chromatic_via_penrose(g, ordering, max_vertices=forest_cap) != oracle:

@@ -264,7 +264,11 @@ def neighborhood_stats(g: Graph) -> NeighborhoodStats:
         raise DegenerateDegreeError(
             f"max degree {delta} gives a zero denominator floor(delta^2/4)"
         )
-    counts = tuple(len(non_edges_in_neighborhood(g, v)) for v in range(g.n))
+    # |I_v| is the d(d-1)/2 neighbour pairs of v minus the edges among them;
+    # summing |N(a) & N(v)| over the neighbours a counts each such edge twice.
+    counts = tuple(
+        (len(nv) * (len(nv) - 1) - sum(len(g.adj[a] & nv) for a in nv)) // 2 for nv in g.adj
+    )
     denom = (delta * delta) // 4
     kappa = Fraction(max(counts), denom)
     return NeighborhoodStats(delta=delta, i_v=counts, kappa=kappa)

@@ -13,16 +13,16 @@ Every enumeration grows trees from a fixed root, the order-least vertex it may
 use, so a vertex's depth and father never change once it is attached and the
 chords it closes are known then. One rule, ``_closure_chords``, lists them; it
 serves ``penrose_closure`` too. Growth that skips attachments adding a chord
-yields the Penrose trees, for forest counting and trees through a vertex;
-growth that keeps them yields every subtree with its chords, for the
-partition-scheme verifier.
-
-Forests are collected by edge count into a generating polynomial whose
-alternating evaluation reproduces the chromatic polynomial.
+yields the Penrose trees; growth that keeps them yields every subtree with its
+chords, for the partition-scheme verifier. Forest counting grows each Penrose
+tree once, tallies the trees on each vertex set and sums over set partitions;
+the alternating evaluation of the count is the chromatic polynomial.
 """
 
 from dataclasses import dataclass
+from itertools import combinations, compress
 
+from . import chromatic
 from .errors import ConditioningError, ContractViolationError, DomainError, EnumerationCapError
 from .graphs import Graph
 from .intpoly import IntPolynomial
@@ -83,6 +83,15 @@ class VertexOrdering:
         return min(vertices, key=self.rank.__getitem__)
 
 
+def _checked_ordering(g: Graph, ordering: VertexOrdering | None) -> VertexOrdering:
+    """``ordering``, which must order the graph's n vertices; None is the natural order."""
+    if ordering is None:
+        return VertexOrdering.natural(g.n)
+    if len(ordering.order) != g.n:
+        raise ContractViolationError(f"ordering has {len(ordering.order)} vertices, not {g.n}")
+    return ordering
+
+
 class RootedTreeView:
     """A tree-shaped edge subset with root, depth, and father maps.
 
@@ -92,6 +101,7 @@ class RootedTreeView:
     __slots__ = ("edges", "vertices", "root", "depth", "father")
 
     def __init__(self, g: Graph, ordering: VertexOrdering, edges):
+        ordering = _checked_ordering(g, ordering)
         es = {(u, v) if u < v else (v, u) for u, v in edges}
         for e in es:
             if e not in g.edges:
@@ -134,6 +144,7 @@ def penrose_closure(g: Graph, ordering: VertexOrdering, tree) -> frozenset:
     tree) qualifies when depth(x) == depth(y), or when, with x the deeper
     endpoint by one level, y comes after x's father in the order.
     """
+    ordering = _checked_ordering(g, ordering)
     t = tree if isinstance(tree, RootedTreeView) else RootedTreeView(g, ordering, tree)
     out = set(t.edges)
     for w, x in t.father.items():
@@ -262,29 +273,28 @@ def _grow_trees(adj, rank, v, allowed, penrose_only):
     yield from rec(steps[v])
 
 
-def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed=None):
-    """Yield the edge sets of Penrose trees whose vertex set contains v.
+def _penrose_trees(adj, rank, roots, allowed):
+    """Yield (root, tree edges) of each Penrose tree inside ``allowed`` whose
+    root, its order-least vertex, is in ``roots``; each comes once."""
+    for r in roots:
+        later = frozenset(w for w in allowed if rank[w] >= rank[r])
+        for tree, _ in _grow_trees(adj, rank, r, later, True):
+            yield r, tree
 
-    ``allowed`` restricts the usable vertices (v must belong to it). The empty
-    tree, v alone, is included. Each tree is grown from its root: for every
-    allowed r not after v, the Penrose trees rooted at r inside the allowed
-    vertices not before r are grown, and those that reach v are kept.
-    """
-    if allowed is None:
-        allowed = frozenset(range(g.n))
-    else:
-        allowed = frozenset(allowed)
+
+def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed=None):
+    """Yield the edge sets of Penrose trees whose vertex set contains v, the
+    empty tree (v alone) included. ``allowed`` restricts the usable vertices
+    and must hold v; the trees rooted at allowed vertices not after v are
+    grown, and those that reach v are kept."""
+    ordering = _checked_ordering(g, ordering)
+    allowed = frozenset(range(g.n) if allowed is None else allowed)
     if v not in allowed:
         raise ContractViolationError("v must be in the allowed set")
-    adj = _sorted_adj(g)
-    rank = ordering.rank
-    roots = [r for r in ordering.order[: rank[v] + 1] if r in allowed]
+    roots = [r for r in ordering.order[: ordering.rank[v] + 1] if r in allowed]
     return (
         frozenset(tree)
-        for r in roots
-        for tree, _ in _grow_trees(
-            adj, rank, r, frozenset(w for w in allowed if rank[w] >= rank[r]), True
-        )
+        for r, tree in _penrose_trees(_sorted_adj(g), ordering.rank, roots, allowed)
         if r == v or any(v in e for e in tree)
     )
 
@@ -299,8 +309,7 @@ def enumerate_penrose_forests(
     """
     if g.n > max_vertices:
         raise EnumerationCapError("penrose forest enumeration", g.n, max_vertices)
-    if ordering is None:
-        ordering = VertexOrdering.natural(g.n)
+    ordering = _checked_ordering(g, ordering)
     adj = _sorted_adj(g)
     rank = ordering.rank
 
@@ -324,39 +333,35 @@ def penrose_polynomial(
 ) -> IntPolynomial:
     """Count Penrose forests by edge count.
 
-    Same recursion as the enumerator, but memoized on the set of still
-    available vertices: the count below such a set is the forest polynomial
-    of the induced subgraph, independent of how the set was reached.
+    Each Penrose tree is grown once and t(S), the number on each vertex
+    bitmask S, tallied. A forest is a set partition into tree blocks, so
+    count(A) = sum of t(S) y^(|S|-1) count(A - S) over the tallied S inside A
+    that hold A's lowest vertex, memoized on the bitmask A.
     """
     if g.n > max_vertices:
         raise EnumerationCapError("penrose forest count", g.n, max_vertices)
-    if ordering is None:
-        ordering = VertexOrdering.natural(g.n)
-    adj = _sorted_adj(g)
-    rank = ordering.rank
-    memo: dict[frozenset, list[int]] = {}
+    ordering = _checked_ordering(g, ordering)
+    tally: dict[int, dict[int, int]] = {}  # lowest vertex bit -> {S: t(S)}
+    for r, tree in _penrose_trees(_sorted_adj(g), ordering.rank, ordering.order, range(g.n)):
+        s = 1 << r
+        for a, b in tree:
+            s |= (1 << a) | (1 << b)
+        ts = tally.setdefault(s & -s, {})
+        ts[s] = ts.get(s, 0) + 1
+    memo = {0: [1]}
 
-    def count(avail: frozenset) -> list[int]:
-        if not avail:
-            return [1]
-        hit = memo.get(avail)
-        if hit is not None:
-            return hit
-        v = min(avail, key=rank.__getitem__)
-        acc = list(count(avail - {v}))
-        for tree, _ in _grow_trees(adj, rank, v, avail, True):
-            k = len(tree)
-            if k == 0:
-                continue
-            sub = count(avail.difference(*tree))
-            if len(acc) < len(sub) + k:
-                acc.extend([0] * (len(sub) + k - len(acc)))
-            for j, c in enumerate(sub):
-                acc[j + k] += c
-        memo[avail] = acc
-        return acc
+    def count(avail: int) -> list[int]:
+        if avail not in memo:
+            acc = [0] * avail.bit_count()
+            for s, t in tally[avail & -avail].items():
+                if s & avail == s:
+                    k = s.bit_count() - 1
+                    for j, c in enumerate(count(avail ^ s)):
+                        acc[j + k] += t * c
+            memo[avail] = acc
+        return memo[avail]
 
-    return IntPolynomial(count(frozenset(range(g.n))))
+    return IntPolynomial(count((1 << g.n) - 1))
 
 
 def forest_to_chromatic(fpoly: IntPolynomial, n: int) -> IntPolynomial:
@@ -386,11 +391,8 @@ def forest_polynomial(g: Graph, *, cache=None) -> IntPolynomial:
     """Forest-count polynomial, converted from the deletion–contraction
     chromatic polynomial; the counts do not depend on the vertex order.
     ``penrose_polynomial`` counts the same forests directly."""
-    # Resolved at call time, so that a wrapper installed on the chromatic
-    # module's attribute (as tracing does) sees these calls.
-    from .chromatic import chromatic_deletion_contraction
-
-    return chromatic_to_forest(chromatic_deletion_contraction(g, cache=cache))
+    # Read through the module, so that a wrapper on its attribute sees the call.
+    return chromatic_to_forest(chromatic.chromatic_deletion_contraction(g, cache=cache))
 
 
 RATIO_DENOMINATOR_RTOL = 1e-9
@@ -448,12 +450,9 @@ def verify_partition_scheme(
     vertex of the support, each with the closure chords collected as it grew,
     which are the free edges of its interval.
     """
-    from itertools import combinations, compress
-
     if r_max < 2:
         raise DomainError(f"r_max must be at least 2, got {r_max}")
-    if ordering is None:
-        ordering = VertexOrdering.natural(g.n)
+    ordering = _checked_ordering(g, ordering)
 
     def induced_edge_sets():
         for r in range(2, min(r_max, g.n) + 1):
@@ -537,6 +536,7 @@ def obstruction_check(
     both). The verdict comes from the three structural conditions alone; it
     matches the direct closure computation on the merged tree.
     """
+    ordering = _checked_ordering(g, ordering)
     v1, v2 = pair
     rank = ordering.rank
     if rank[u] != 0 or rank[v1] != 1 or rank[v2] != 2:

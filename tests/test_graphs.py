@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -38,6 +39,7 @@ from chromadisk.corpus import (
     random_connected_graph,
     random_graph,
     random_graph_batch,
+    star_graph,
 )
 from oracles import (
     is_diamond_free_scan,
@@ -253,6 +255,30 @@ class TestNeighborhoodStats:
         # complete graphs are the only connected claw-free graphs with kappa 0
         for n in (3, 4, 5, 6):
             assert pair_independence_ratio(complete_graph(n)) == 0
+
+    def test_counts_match_listed_non_edges(self):
+        graphs = [g for n in range(1, 7) for g in all_graphs_up_to_iso(n)]
+        graphs += random_graph_batch()
+        checked = 0
+        for g in graphs:
+            if g.max_degree() <= 1:
+                continue
+            want = tuple(len(non_edges_in_neighborhood(g, v)) for v in range(g.n))
+            assert neighborhood_stats(g).i_v == want, g
+            checked += 1
+        assert checked > 200
+
+    def test_high_degree_counts_without_listing_pairs(self):
+        # listing the ~1.1M neighbour pairs of the centre takes about 90 MB
+        g = star_graph(1500)
+        tracemalloc.start()
+        try:
+            s = neighborhood_stats(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.i_v[0] == 1500 * 1499 // 2
+        assert peak < 5 * 2**20
 
 
 class TestInvariants:

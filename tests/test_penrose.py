@@ -298,6 +298,40 @@ class TestTreesContaining:
             penrose_trees_containing(k3(), nat(3), 0, allowed={1, 2})
 
 
+_PATH = [(0, 1), (1, 2), (2, 3)]
+
+
+@pytest.mark.parametrize("size", [3, 6], ids=["short", "long"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        penrose_polynomial,
+        verify_partition_scheme,
+        lambda g, o: list(penrose_trees_containing(g, o, 0)),
+        lambda g, o: is_penrose_tree(g, o, _PATH),
+        lambda g, o: penrose_closure(g, o, _PATH),
+        lambda g, o: is_penrose_forest(g, o, _PATH),
+        lambda g, o: RootedTreeView(g, o, _PATH),
+        enumerate_penrose_forests,
+        lambda g, o: obstruction_check(g, o, 3, (0, 1), [(0, 2)]),
+    ],
+    ids=[
+        "penrose_polynomial",
+        "verify_partition_scheme",
+        "penrose_trees_containing",
+        "is_penrose_tree",
+        "penrose_closure",
+        "is_penrose_forest",
+        "RootedTreeView",
+        "enumerate_penrose_forests",
+        "obstruction_check",
+    ],
+)
+def test_ordering_must_cover_the_graph(call, size):
+    with pytest.raises(ContractViolationError):
+        call(complete_graph(4), nat(size))
+
+
 class TestChromaticIdentity:
     def test_k3(self):
         assert chromatic_via_penrose(k3()).coeffs == (0, 2, -3, 1)
@@ -410,6 +444,27 @@ def _every_chord(adj, rank, depth, w, x):
         for y in adj[w]
         if y in depth and y != x and depth[y] <= depth[x] + 1
     ]
+
+
+@pytest.mark.parametrize("g, o", list(_scheme_cases()))
+def test_each_penrose_tree_grown_once(monkeypatch, g, o):
+    # By Penrose's theorem |[q^1] P_G[S]| Penrose trees span each vertex set S
+    grown = 0
+    grow = penrose._grow_trees
+
+    def counting(adj, rank, v, allowed, penrose_only):
+        nonlocal grown
+        for item in grow(adj, rank, v, allowed, penrose_only):
+            grown += penrose_only
+            yield item
+
+    monkeypatch.setattr(penrose, "_grow_trees", counting)
+    penrose_polynomial(g, o)
+    assert grown == sum(
+        abs(chromatic_deletion_contraction(g.induced(s)).coeff(1))
+        for r in range(1, g.n + 1)
+        for s in combinations(range(g.n), r)
+    )
 
 
 class TestPartitionSchemeAgainstScan:
