@@ -121,16 +121,20 @@ class BoundResult:
     c_star: float
 
     def disk_radius(self, delta: int) -> float:
-        """Chromatic roots are confined to |q| < c_star * delta."""
+        """Chromatic roots are confined to |q| < c_star * delta.
+
+        Raises DomainError for a delta whose radius is not a finite float."""
         if not isinstance(delta, int) or delta < 3:
             raise DomainError("delta must be an integer >= 3")
-        return self.c_star * delta
+        radius = self.c_star * delta if delta.bit_length() < 1024 else math.inf
+        if math.isinf(radius):
+            bits = delta.bit_length()
+            raise DomainError(f"delta of {bits} bits: C * delta exceeds the float range")
+        return radius
 
     def z_star(self, delta: int) -> float:
         """Forest-variable radius 1 / (c_star * delta)."""
-        if not isinstance(delta, int) or delta < 3:
-            raise DomainError("delta must be an integer >= 3")
-        return 1.0 / (self.c_star * delta)
+        return 1.0 / self.disk_radius(delta)
 
 
 def _s_plus(class_index: int, kappa: float, x: float) -> float:

@@ -4,66 +4,41 @@ The recursion works on tuples of adjacency bitmasks. Each step first drops
 simplicial vertices, whose neighbours are pairwise adjacent: such a vertex v
 contributes the factor (q - deg v), so trees, complete graphs and other
 chordal graphs never branch. What is left splits into components, cycles
-take their closed form, and any other connected minor is looked up in a
-memo before its most-triangled edge is deleted and contracted. A minor's
-key is its vertex and edge counts and a hash of its label refinement
-(``graphs.refinement_certificate``), which isomorphic minors share; within
-a key, ``graphs.isomorphic`` decides each stored candidate, so a hash
-collision costs one more test and can never return a wrong polynomial.
-Input graphs are also remembered by their bitmask tuples, so a repeated
-input is answered before any of this starts.
+take their closed form, and any other connected minor is looked up in the
+cache, a ``graphs.IsomorphismTable``, before its most-triangled edge is
+deleted and contracted; isomorphic minors share one entry, and a lookup
+never returns a non-isomorphic minor's polynomial. Input graphs are also
+remembered by their bitmask tuples, so a repeated input is answered before
+any of this starts.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnumerationCapError
-from .graphs import Graph, adjacency_masks, components, isomorphic, refinement_certificate
+from .errors import DomainError, EnumerationCapError
+from .graphs import Graph, IsomorphismTable, adjacency_masks, components
 from .intpoly import IntPolynomial
 
 DEFAULT_ORACLE_CAP = 16
 
 
-class ChromaticCache:
-    """Solved minors, bucketed by (n, m, refinement certificate), and solved inputs.
+class ChromaticCache(IsomorphismTable):
+    """Solved minors, one per isomorphism class, and solved inputs.
 
-    Isomorphic minors share a certificate, so a lookup probes only the
-    entries of one bucket, and those are nearly always isomorphic to the
-    query; ``graphs.isomorphic`` decides each probe, so a colliding
-    certificate costs an extra probe and never a wrong polynomial. Each entry
-    keeps the minor as a tuple of adjacency bitmasks with its refined labels.
-    Input graphs are kept apart, keyed by their exact bitmask tuples, and a
-    repeated input counts as a hit without a probe. ``hits`` and ``misses``
-    count lookups; ``probes`` counts isomorphism tests, so ``probes - hits``
-    is at most the number of probes that found no match.
+    The table holds each connected minor the recursion branches on. Input
+    graphs are kept apart, keyed by their exact bitmask tuples, and a
+    repeated input counts as a hit without a refinement or a probe.
+    ``clear`` empties both and zeroes the counters.
     """
 
     def __init__(self):
-        self._buckets: dict[tuple, list] = {}
+        super().__init__()
         self._inputs: dict[tuple, IntPolynomial] = {}
-        self.hits = 0
-        self.misses = 0
-        self.probes = 0
-
-    def lookup(self, key, adj, labels):
-        for stored_adj, stored_labels, poly in self._buckets.get(key, ()):
-            self.probes += 1
-            if isomorphic(adj, labels, stored_adj, stored_labels):
-                self.hits += 1
-                return poly
-        self.misses += 1
-        return None
-
-    def store(self, key, adj, labels, poly):
-        self._buckets.setdefault(key, []).append((adj, labels, poly))
 
     def clear(self):
-        self._buckets.clear()
-        self._inputs.clear()
-        self.hits = 0
-        self.misses = 0
-        self.probes = 0
+        self.__init__()
 
 
 _default_cache = ChromaticCache()
@@ -165,22 +140,18 @@ def _solve(adj, cache) -> IntPolynomial:
 
 def _solve_connected(adj, cache) -> IntPolynomial:
     """A connected graph with no simplicial vertex, so every degree is at least 2."""
-    n = len(adj)
-    degrees = [a.bit_count() for a in adj]
-    if all(d == 2 for d in degrees):
-        return _cycle_poly(n)
-    certificate, labels = refinement_certificate(adj)
-    key = (n, sum(degrees) // 2, certificate)
-    hit = cache.lookup(key, adj, labels)
-    if hit is not None:
-        return hit
+    if all(a.bit_count() == 2 for a in adj):
+        return _cycle_poly(len(adj))
+    poly, slot = cache.find(adj)
+    if poly is not None:
+        return poly
     # contract the edge with the most common neighbors; collapses triangles fast
     u, v = _contraction_edge(adj)
     deleted = list(adj)
     deleted[u] ^= 1 << v
     deleted[v] ^= 1 << u
     poly = _solve(deleted, cache) - _solve(_contract(adj, u, v), cache)
-    cache.store(key, adj, labels, poly)
+    cache.add(slot, poly)
     return poly
 
 
@@ -239,18 +210,25 @@ def polynomial_roots(p: IntPolynomial) -> list[PolynomialRoot]:
 
     The residual is |p(r)| / (sum_k |c_k| max(1, |r|)^deg), small when the
     root is numerically trustworthy. Roots are sorted by real part, then
-    imaginary part.
+    imaginary part. Raises DomainError when a coefficient or a residual's
+    scale exceeds the float range, where neither means anything.
     """
     if p.degree < 1:
         return []
-    coeffs = [float(c) for c in reversed(p.coeffs)]
-    roots = np.roots(coeffs)
     out = []
-    csum = sum(abs(c) for c in p.coeffs)
-    for r in roots:
-        r = complex(r)
-        val = abs(p(r))
-        scale = csum * max(1.0, abs(r)) ** p.degree
-        out.append(PolynomialRoot(value=r, residual=val / scale))
+    try:
+        csum = float(sum(abs(c) for c in p.coeffs))
+        for r in np.roots([float(c) for c in reversed(p.coeffs)]):
+            r = complex(r)
+            scale = csum * max(1.0, abs(r)) ** p.degree
+            if math.isinf(scale):
+                raise OverflowError
+            out.append(PolynomialRoot(value=r, residual=abs(p(r)) / scale))
+    except OverflowError:
+        bits = max(abs(c) for c in p.coeffs).bit_length()
+        raise DomainError(
+            f"float arithmetic overflows on the degree-{p.degree} polynomial"
+            f" with {bits}-bit coefficients"
+        ) from None
     out.sort(key=lambda pr: (pr.value.real, pr.value.imag))
     return out

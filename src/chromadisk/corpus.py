@@ -9,12 +9,11 @@ from itertools import combinations
 
 from .graphs import (
     Graph,
+    IsomorphismTable,
     adjacency_masks,
     classify,
     components,
     is_claw_free,
-    isomorphic,
-    refinement_certificate,
 )
 
 
@@ -145,15 +144,14 @@ def random_ordering(n: int, seed: int) -> list[int]:
 
 
 def iso_distinct(graphs) -> list[Graph]:
-    """Filter a graph list down to one representative per isomorphism class."""
-    buckets: dict[tuple, list] = {}
+    """The first graph of each isomorphism class, in input order, found with a
+    ``graphs.IsomorphismTable``."""
+    table = IsomorphismTable()
     out = []
     for g in graphs:
-        adj = adjacency_masks(g)
-        certificate, labels = refinement_certificate(adj)
-        known = buckets.setdefault((g.n, g.m, certificate), [])
-        if not any(isomorphic(adj, labels, h_adj, h_labels) for h_adj, h_labels in known):
-            known.append((adj, labels))
+        seen, slot = table.find(adjacency_masks(g))
+        if seen is None:
+            table.add(slot, g)
             out.append(g)
     return out
 

@@ -7,9 +7,11 @@ their cost grows with the number of vertices times the square of the maximum
 degree rather than with the number of vertex quadruples.
 
 The functions at the end work on adjacency bitmasks: connected components,
-a refinement certificate that isomorphic graphs share, and an exact
-isomorphism test. The chromatic oracle's memo and corpus.iso_distinct use
-them.
+a refinement certificate that isomorphic graphs share, an exact
+isomorphism test, and IsomorphismTable, which keeps one value per
+isomorphism class with the two. The chromatic oracle's memo and
+corpus.iso_distinct are such tables; no other module refines or tests
+isomorphism itself.
 """
 
 from dataclasses import dataclass
@@ -280,10 +282,7 @@ def pair_independence_ratio(g: Graph) -> Fraction:
 
 
 # Adjacency bitmasks: adj[v] has bit w set when v and w are adjacent. The
-# functions below serve the chromatic oracle's memo, whose minors are stored
-# in this form, and corpus.iso_distinct.
-
-REFINEMENT_ROUNDS = 3
+# chromatic oracle stores its minors in this form.
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
@@ -321,8 +320,8 @@ def refinement_certificate(adj) -> tuple[int, tuple[int, ...]]:
 
     Labels start as degrees. Each round gives every vertex the signature
     (its label, the sorted labels of its neighbors) and renumbers the
-    signatures in sorted order; rounds stop after REFINEMENT_ROUNDS or once
-    a round splits no class. The certificate hashes the sorted signature
+    signatures in sorted order, until a round splits no class, so the labels
+    end as the stable partition. The certificate hashes the sorted signature
     list of every round, so it is a plain int that is the same in every
     process. Isomorphic graphs get equal certificates, and an isomorphism
     maps each vertex to one with the same label. Unequal certificates prove
@@ -334,16 +333,15 @@ def refinement_certificate(adj) -> tuple[int, tuple[int, ...]]:
     labels = [len(nb) for nb in nbrs]
     classes = len(set(labels))
     rounds = []
-    for _ in range(REFINEMENT_ROUNDS):
+    while True:
         sig = [(labels[v], tuple(sorted([labels[w] for w in nbrs[v]]))) for v in range(n)]
         ordered = tuple(sorted(sig))
         rounds.append(ordered)
         table = {s: i for i, s in enumerate(dict.fromkeys(ordered))}
         labels = [table[s] for s in sig]
         if len(table) == classes:
-            break
+            return hash(tuple(rounds)), tuple(labels)
         classes = len(table)
-    return hash(tuple(rounds)), tuple(labels)
 
 
 def isomorphic(adj1, labels1, adj2, labels2) -> bool:
@@ -390,3 +388,37 @@ def isomorphic(adj1, labels1, adj2, labels2) -> bool:
         return False
 
     return extend(0, 0)
+
+
+class IsomorphismTable:
+    """One value per isomorphism class of graphs given as adjacency bitmasks.
+
+    Graphs are bucketed by vertex count, degree sum and refinement
+    certificate, which isomorphic graphs share, and ``isomorphic`` decides
+    each entry of a bucket, so a colliding certificate costs a probe and
+    never a wrong value. ``find`` refines its graph once and returns the
+    slot ``add`` files a value under; the bucket is looked up again when
+    the value is added, so work between the two calls may fill it. Values
+    must not be None. ``hits`` and ``misses`` count finds, ``probes`` the
+    isomorphism tests they ran.
+    """
+
+    def __init__(self):
+        self._buckets: dict[tuple, list] = {}
+        self.hits = self.misses = self.probes = 0
+
+    def find(self, adj):
+        """(value stored for a graph isomorphic to adj, None) or (None, slot)."""
+        certificate, labels = refinement_certificate(adj)
+        key = (len(adj), sum(a.bit_count() for a in adj), certificate)
+        for stored_adj, stored_labels, value in self._buckets.get(key, ()):
+            self.probes += 1
+            if isomorphic(adj, labels, stored_adj, stored_labels):
+                self.hits += 1
+                return value, None
+        self.misses += 1
+        return None, (key, adj, labels)
+
+    def add(self, slot, value):
+        key, adj, labels = slot
+        self._buckets.setdefault(key, []).append((adj, labels, value))

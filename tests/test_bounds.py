@@ -139,6 +139,14 @@ class TestMinimization:
         with pytest.raises(DomainError):
             r.disk_radius(2)
 
+    @pytest.mark.parametrize("delta", [2**1023, 10**400], ids=["2**1023", "10**400"])
+    def test_radius_past_float_range(self, delta):
+        r = minimize_c(0, 0.5)
+        for radius in (r.disk_radius, r.z_star):
+            with pytest.raises(DomainError, match="exceeds the float range"):
+                radius(delta)
+        assert r.disk_radius(10**300) == pytest.approx(r.c_star * 1e300)
+
 
 class TestAgainstNestedSolve:
     KAPPAS = [j / 20 for j in range(21)]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chromadisk import (
     ChromaticCache,
+    DomainError,
     EnumerationCapError,
     Graph,
     IntPolynomial,
@@ -13,8 +14,8 @@ from chromadisk import (
     count_proper_colorings,
     polynomial_roots,
 )
-from chromadisk import chromatic, corpus
-from chromadisk.graphs import adjacency_masks
+from chromadisk import chromatic
+from chromadisk.graphs import adjacency_masks, refinement_certificate
 from chromadisk.corpus import (
     antiprism_graph,
     complete_graph,
@@ -201,13 +202,11 @@ class TestMemoKey:
             line_graph(complete_graph(4)),
         ]
         want = [chromatic_deletion_contraction(g, cache=ChromaticCache()) for g in graphs]
-        real = chromatic.refinement_certificate
 
         def collide(adj):
-            return 0, ((0,) * len(adj) if labels == "constant" else real(adj)[1])
+            return 0, ((0,) * len(adj) if labels == "constant" else refinement_certificate(adj)[1])
 
-        monkeypatch.setattr(chromatic, "refinement_certificate", collide)
-        monkeypatch.setattr(corpus, "refinement_certificate", collide)
+        monkeypatch.setattr("chromadisk.graphs.refinement_certificate", collide)
         cache = ChromaticCache()
         for g, p in zip(graphs, want):
             got = chromatic_deletion_contraction(g, cache=cache)
@@ -271,6 +270,14 @@ class TestRoots:
         assert polynomial_roots(IntPolynomial.zero()) == []
         (only,) = polynomial_roots(IntPolynomial((-2, 1)))
         assert only.value == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("n", [100, 171])
+    def test_float_overflow_is_a_domain_error(self, n):
+        # K171's coefficients pass 2**1024; K100's fit, but its residual scale
+        # sum |c_k| * |r|**100 does not, which used to give residuals of 0.0
+        p = chromatic_deletion_contraction(complete_graph(n), max_vertices=n)
+        with pytest.raises(DomainError, match=f"overflows on the degree-{n} polynomial"):
+            polynomial_roots(p)
 
 
 class TestColoringCounter:

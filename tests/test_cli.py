@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from chromadisk import format_graph
+from chromadisk import IntPolynomial, bounds, cli, format_graph, penrose
 from chromadisk.cli import main
 from chromadisk.corpus import (
     claw_graph,
@@ -167,6 +168,14 @@ class TestBounds:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("fixed_a", [[], ["--a", "0.3"]])
+    def test_delta_past_float_range_exits_one(self, capsys, fixed_a):
+        delta = "1" + "0" * 400
+        argv = ["bounds", "--class", "0", "--kappa", "0.5", *fixed_a, "--delta", delta]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: delta of 1329 bits: C * delta exceeds the float range\n"
+
 
 class TestTable:
     def test_endpoints_only(self, capsys):
@@ -300,6 +309,61 @@ class TestRoots:
         code, _, err = run(capsys, "roots", path)
         assert code == 2
         assert "error:" in err
+
+
+    def test_float_overflow_exits_one(self, tmp_path, capsys):
+        # K171's coefficients pass 2**1024
+        path = gfile(tmp_path, "k171.txt", complete_graph(171))
+        code, out, err = run(capsys, "roots", path, "--max-enum", "171")
+        assert code == 1 and out == ""
+        assert err.startswith("error: float arithmetic overflows on the degree-171 polynomial")
+
+
+class TestVerificationFailures:
+    """Every check that can fail exits 3 and names what failed."""
+
+    def test_partition_counterexample(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(penrose, "_closure_chords", lambda *args: [])
+        path = gfile(tmp_path, "k4.txt", complete_graph(4))
+        code, out, _ = run(capsys, "verify-scheme", path, "--json")
+        assert code == 3
+        partition = json.loads(out)["partition"]
+        assert partition["passed"] is False
+        assert partition["counterexample"]["subset"] == [0, 1, 2]
+
+    def test_identity_stops_at_first_failing_ordering(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "chromatic_via_penrose", lambda *a, **k: IntPolynomial((0, 1)))
+        path = gfile(tmp_path, "k4.txt", complete_graph(4))
+        code, out, _ = run(capsys, "verify-scheme", path, "--json")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["partition"]["passed"] is True
+        assert doc["identity"] == {"passed": False, "orderings_checked": 1}
+        code, out, _ = run(capsys, "verify-scheme", path)
+        assert code == 3 and "forest identity check: FAIL (1 orderings)" in out
+
+    def test_table_check_against_shifted_row(self, capsys, monkeypatch):
+        rows = list(bounds.REFERENCE_TABLE)
+        rows[3] = dataclasses.replace(rows[3], c_class1=rows[3].c_class1 + 1e-3)
+        monkeypatch.setattr(cli, "REFERENCE_TABLE", tuple(rows))
+        code, out, _ = run(capsys, "table1", "--check", "--json")
+        assert code == 3
+        check = json.loads(out)["check"]
+        assert check["passed"] is False
+        assert check["max_deviation"] == pytest.approx(1e-3, abs=1e-5)
+
+    def test_analyze_root_outside_disk(self, tmp_path, capsys, monkeypatch):
+        # C = 0.5 puts K4's roots 2 and 3 outside |q| < 1.5
+        def narrow(class_index, kappa):
+            return dataclasses.replace(bounds.minimize_c(class_index, kappa), c_star=0.5)
+
+        monkeypatch.setattr(cli, "minimize_c", narrow)
+        path = gfile(tmp_path, "k4.txt", complete_graph(4))
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["bound"]["radius"] == 1.5
+        assert doc["disk_verdict"] == "no"
 
 
 class TestDeterminism:

@@ -22,6 +22,7 @@ from chromadisk import (
 )
 from chromadisk.graphs import (
     MAX_VERTICES,
+    IsomorphismTable,
     adjacency_masks,
     components,
     isomorphic,
@@ -36,6 +37,7 @@ from chromadisk.corpus import (
     disjoint_union,
     line_graph,
     octahedron,
+    path_graph,
     random_connected_graph,
     random_graph,
     random_graph_batch,
@@ -333,6 +335,48 @@ class TestIsomorphism:
         assert not isomorphic(hexagon, lh, triangles, lt)
         shuffled = adjacency_masks(cycle_graph(6).relabel([3, 5, 1, 0, 2, 4]))
         assert isomorphic(hexagon, (0,) * 6, shuffled, (0,) * 6)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_labels_are_a_stable_partition(self, seed):
+        # every vertex of a class sees the same multiset of neighbour labels
+        for g in (random_graph(9, 0.4, seed=seed), path_graph(seed + 2)):
+            adj = adjacency_masks(g)
+            labels = refinement_certificate(adj)[1]
+            seen = {}
+            for v in range(g.n):
+                nbr = sorted(labels[w] for w in g.adj[v])
+                assert seen.setdefault(labels[v], nbr) == nbr
+
+    def test_refinement_has_no_round_cap(self):
+        # the middle of P11 is told apart from its neighbours in round five
+        labels = refinement_certificate(adjacency_masks(path_graph(11)))[1]
+        assert labels == (0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0)
+
+    def test_table_keeps_one_value_per_class(self):
+        # C6 and 2K3 share a certificate, so they share a bucket
+        hexagon = adjacency_masks(cycle_graph(6))
+        shuffled = adjacency_masks(cycle_graph(6).relabel([3, 5, 1, 0, 2, 4]))
+        triangles = adjacency_masks(disjoint_union(complete_graph(3), complete_graph(3)))
+        table = IsomorphismTable()
+        value, slot = table.find(hexagon)
+        assert value is None and table.probes == 0
+        table.add(slot, "C6")
+        assert table.find(shuffled) == ("C6", None)
+        probes = table.probes
+        value, slot = table.find(triangles)
+        assert value is None and table.probes == probes + 1
+        assert (table.hits, table.misses) == (1, 2)
+
+    def test_table_add_sees_entries_added_since_find(self):
+        # a miss's slot is filed after other work may have filled its bucket
+        hexagon = adjacency_masks(cycle_graph(6))
+        triangles = adjacency_masks(disjoint_union(complete_graph(3), complete_graph(3)))
+        table = IsomorphismTable()
+        hex_slot = table.find(hexagon)[1]
+        table.add(table.find(triangles)[1], "2K3")
+        table.add(hex_slot, "C6")
+        assert table.find(triangles)[0] == "2K3"
+        assert table.find(hexagon)[0] == "C6"
 
     def test_components(self):
         g = disjoint_union(cycle_graph(4), Graph(3, [(0, 2)]))
