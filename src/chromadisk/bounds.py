@@ -104,10 +104,21 @@ def c_of_a(class_index: int, kappa, a: float) -> float:
 
 
 def z_of_a(class_index: int, kappa, a: float, delta: int) -> float:
-    """Forest-variable radius 1 / (C(a) delta) for maximum degree delta."""
+    """Forest-variable radius 1 / (C(a) delta) for maximum degree delta.
+
+    Raises DomainError where ``BoundResult.disk_radius`` does."""
+    return 1.0 / _disk_radius(c_of_a(class_index, kappa, a), delta)
+
+
+def _disk_radius(c: float, delta: int) -> float:
+    """C * delta, or DomainError for a delta below 3 or a radius past the float range."""
     if not isinstance(delta, int) or delta < 3:
         raise DomainError("delta must be an integer >= 3")
-    return 1.0 / (c_of_a(class_index, kappa, a) * delta)
+    radius = c * delta if delta.bit_length() < 1024 else math.inf
+    if math.isinf(radius):
+        bits = delta.bit_length()
+        raise DomainError(f"delta of {bits} bits: C * delta exceeds the float range")
+    return radius
 
 
 @dataclass(frozen=True)
@@ -124,13 +135,7 @@ class BoundResult:
         """Chromatic roots are confined to |q| < c_star * delta.
 
         Raises DomainError for a delta whose radius is not a finite float."""
-        if not isinstance(delta, int) or delta < 3:
-            raise DomainError("delta must be an integer >= 3")
-        radius = self.c_star * delta if delta.bit_length() < 1024 else math.inf
-        if math.isinf(radius):
-            bits = delta.bit_length()
-            raise DomainError(f"delta of {bits} bits: C * delta exceeds the float range")
-        return radius
+        return _disk_radius(self.c_star, delta)
 
     def z_star(self, delta: int) -> float:
         """Forest-variable radius 1 / (c_star * delta)."""

@@ -3,13 +3,15 @@
 The recursion works on tuples of adjacency bitmasks. Each step first drops
 simplicial vertices, whose neighbours are pairwise adjacent: such a vertex v
 contributes the factor (q - deg v), so trees, complete graphs and other
-chordal graphs never branch. What is left splits into components, cycles
-take their closed form, and any other connected minor is looked up in the
-cache, a ``graphs.IsomorphismTable``, before its most-triangled edge is
-deleted and contracted; isomorphic minors share one entry, and a lookup
-never returns a non-isomorphic minor's polynomial. Input graphs are also
-remembered by their bitmask tuples, so a repeated input is answered before
-any of this starts.
+chordal graphs never branch. What is left splits into components, and each
+connected minor is looked up in the cache, a ``graphs.IsomorphismTable``;
+isomorphic minors share one entry, and a lookup never returns a
+non-isomorphic minor's polynomial. A minor not found there is split on the
+edge from vertex 0 to its lowest neighbour. The peel and the contraction
+keep vertex order, so the recursion eliminates vertex 0 until the peel drops
+it, then the next vertex: minors differ only around the vertices eliminated
+so far, and they repeat often. Input graphs are also remembered by their
+bitmask tuples, so a repeated input is answered before any of this starts.
 """
 
 import math
@@ -90,38 +92,18 @@ def _peel(adj) -> tuple[IntPolynomial, tuple[int, ...]]:
     return factor, _restrict(adj, alive)
 
 
-def _cycle_poly(n: int) -> IntPolynomial:
-    qm1 = IntPolynomial((-1, 1))
-    return qm1 ** n + qm1.scale((-1) ** n)
-
-
-def _contraction_edge(adj) -> tuple[int, int]:
-    """The edge (u, v), u < v, with the most common neighbours; ties go to the least."""
-    best = -1
-    for u, a in enumerate(adj):
-        later = a >> (u + 1) << (u + 1)
-        while later:
-            w = later & -later
-            later ^= w
-            v = w.bit_length() - 1
-            common = (a & adj[v]).bit_count()
-            if common > best:
-                best, edge = common, (u, v)
-    return edge
-
-
-def _contract(adj, u: int, v: int) -> tuple[int, ...]:
-    """G / uv for u < v: v merges into u and the later vertices move down by one."""
-    bu, bv = 1 << u, 1 << v
+def _contract(adj, v: int) -> tuple[int, ...]:
+    """G / 0v: v merges into vertex 0 and the later vertices move down by one."""
+    bv = 1 << v
     low = bv - 1
     out = []
     for x, a in enumerate(adj):
         if x == v:
             continue
-        if x == u:
-            a = (a | adj[v]) & ~(bu | bv)
+        if x == 0:
+            a = (a | adj[v]) & ~(1 | bv)
         elif a & bv:
-            a |= bu
+            a |= 1
         out.append((a & low) | (a >> (v + 1) << v))
     return tuple(out)
 
@@ -139,18 +121,20 @@ def _solve(adj, cache) -> IntPolynomial:
 
 
 def _solve_connected(adj, cache) -> IntPolynomial:
-    """A connected graph with no simplicial vertex, so every degree is at least 2."""
-    if all(a.bit_count() == 2 for a in adj):
-        return _cycle_poly(len(adj))
+    """A connected graph with no simplicial vertex, so every degree is at least 2.
+
+    Looks the graph up, else deletes and contracts the edge from vertex 0 to
+    its lowest neighbour v, and stores the result. Deletion only shrinks
+    vertex 0's neighbourhood, and contraction merges v into vertex 0.
+    """
     poly, slot = cache.find(adj)
     if poly is not None:
         return poly
-    # contract the edge with the most common neighbors; collapses triangles fast
-    u, v = _contraction_edge(adj)
+    v = (adj[0] & -adj[0]).bit_length() - 1
     deleted = list(adj)
-    deleted[u] ^= 1 << v
-    deleted[v] ^= 1 << u
-    poly = _solve(deleted, cache) - _solve(_contract(adj, u, v), cache)
+    deleted[0] ^= 1 << v
+    deleted[v] ^= 1
+    poly = _solve(deleted, cache) - _solve(_contract(adj, v), cache)
     cache.add(slot, poly)
     return poly
 

@@ -4,6 +4,7 @@ Everything here is deterministic: random graphs take explicit seeds, and the
 named corpora are built the same way on every call.
 """
 
+import functools
 import random
 from itertools import combinations
 
@@ -156,21 +157,15 @@ def iso_distinct(graphs) -> list[Graph]:
     return out
 
 
-_ALL_GRAPHS_CACHE: dict[int, list[Graph]] = {}
-
-
-def all_graphs_up_to_iso(n: int) -> list[Graph]:
+@functools.cache
+def all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
     """Every isomorphism class on exactly n vertices; intended for n <= 6."""
-    if n in _ALL_GRAPHS_CACHE:
-        return _ALL_GRAPHS_CACHE[n]
     pairs = list(combinations(range(n), 2))
     graphs = []
     for mask in range(1 << len(pairs)):
         edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
         graphs.append(Graph(n, edges))
-    result = iso_distinct(graphs)
-    _ALL_GRAPHS_CACHE[n] = result
-    return result
+    return tuple(iso_distinct(graphs))
 
 
 def connected_graphs_with_edges(m_max: int) -> list[Graph]:

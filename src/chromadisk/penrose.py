@@ -365,7 +365,12 @@ def penrose_polynomial(
 
 
 def forest_to_chromatic(fpoly: IntPolynomial, n: int) -> IntPolynomial:
-    """P(q) = q^n F(-1/q): coefficient of q^(n-k) is (-1)^k times the k-th count."""
+    """P(q) = q^n F(-1/q): coefficient of q^(n-k) is (-1)^k times the k-th count.
+
+    Raises ValueError when F has degree above n, which no n-vertex graph's
+    forest polynomial has."""
+    if fpoly.degree > n:
+        raise ValueError(f"forest polynomial of degree {fpoly.degree} for {n} vertices")
     out = [0] * (n + 1)
     for k in range(fpoly.degree + 1):
         out[n - k] = (-1) ** k * fpoly.coeff(k)

@@ -88,6 +88,11 @@ class TestPerAConstants:
         with pytest.raises(DomainError):
             z_of_a(0, 0.0, 1 / 3, 2)
 
+    def test_z_past_float_range(self):
+        with pytest.raises(DomainError, match="exceeds the float range"):
+            z_of_a(0, 0.5, 0.35, 10**400)
+        assert 0.0 < z_of_a(0, 0.5, 0.35, 10**300) < 1e-300
+
     def test_constant_grows_with_kappa(self):
         for a in (0.3, 0.37):
             cs = [c_of_a(1, k, a) for k in (0.0, 0.25, 0.5, 0.75, 1.0)]

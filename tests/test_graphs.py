@@ -1,4 +1,5 @@
 import tracemalloc
+from contextlib import suppress
 from fractions import Fraction
 from itertools import combinations
 
@@ -381,3 +382,9 @@ class TestIsomorphism:
     def test_components(self):
         g = disjoint_union(cycle_graph(4), Graph(3, [(0, 2)]))
         assert components(adjacency_masks(g)) == [0b1111, 0b1010000, 0b100000]
+
+    def test_all_graphs_result_is_not_the_stored_list(self):
+        first = all_graphs_up_to_iso(3)
+        with suppress(AttributeError):
+            first.clear()
+        assert len(all_graphs_up_to_iso(3)) == len(first) == 4

@@ -366,6 +366,10 @@ class TestChromaticIdentity:
         with pytest.raises(ValueError):
             chromatic_to_forest(IntPolynomial((0, 2)))
 
+    def test_forest_to_chromatic_rejects_degree_above_n(self):
+        with pytest.raises(ValueError):
+            forest_to_chromatic(IntPolynomial((1, 3, 3)), 1)
+
 
 class TestForestPolynomialRoutes:
     def test_routes_agree(self):
