@@ -17,7 +17,8 @@ With s = 1 - a the constraint B(a, x) <= a is a quadratic in s,
 so for fixed x the feasible s run up to the positive root s+(x), and the
 infimum of C(a) is 1 / max over x in (0, 1/2] of x s+(x). ``minimize_c`` finds
 that maximum with one golden-section search over x. The fixed-a threshold
-``solve_x`` asks the inverse question and stays a bisection on x.
+``solve_x`` asks the inverse question and stays a bisection on x;
+``fixed_a_bound`` turns it into C(a).
 """
 
 import math
@@ -95,35 +96,11 @@ def solve_x_linear(a: float) -> float:
     return min(a / (1.0 - a), 0.5)
 
 
-def c_of_a(class_index: int, kappa, a: float) -> float:
-    """Per-a disk constant 1 / ((1 - a) x*(a))."""
-    x = solve_x(class_index, kappa, a)
-    if x <= 0.0:
-        raise DomainError(f"threshold x collapsed to zero at a = {a}")
-    return 1.0 / ((1.0 - a) * x)
-
-
-def z_of_a(class_index: int, kappa, a: float, delta: int) -> float:
-    """Forest-variable radius 1 / (C(a) delta) for maximum degree delta.
-
-    Raises DomainError where ``BoundResult.disk_radius`` does."""
-    return 1.0 / _disk_radius(c_of_a(class_index, kappa, a), delta)
-
-
-def _disk_radius(c: float, delta: int) -> float:
-    """C * delta, or DomainError for a delta below 3 or a radius past the float range."""
-    if not isinstance(delta, int) or delta < 3:
-        raise DomainError("delta must be an integer >= 3")
-    radius = c * delta if delta.bit_length() < 1024 else math.inf
-    if math.isinf(radius):
-        bits = delta.bit_length()
-        raise DomainError(f"delta of {bits} bits: C * delta exceeds the float range")
-    return radius
-
-
 @dataclass(frozen=True)
 class BoundResult:
-    """Minimized disk constant with the minimizer and its threshold."""
+    """Disk constant C = 1 / ((1 - a) x) at a parameter a and its threshold x.
+
+    ``minimize_c`` returns the minimizing a; ``fixed_a_bound`` a given one."""
 
     class_index: int
     kappa: float
@@ -134,12 +111,32 @@ class BoundResult:
     def disk_radius(self, delta: int) -> float:
         """Chromatic roots are confined to |q| < c_star * delta.
 
-        Raises DomainError for a delta whose radius is not a finite float."""
-        return _disk_radius(self.c_star, delta)
+        Raises DomainError for a delta below 3 or a radius past the float range."""
+        if not isinstance(delta, int) or delta < 3:
+            raise DomainError("delta must be an integer >= 3")
+        radius = self.c_star * delta if delta.bit_length() < 1024 else math.inf
+        if math.isinf(radius):
+            bits = delta.bit_length()
+            raise DomainError(f"delta of {bits} bits: C * delta exceeds the float range")
+        return radius
 
     def z_star(self, delta: int) -> float:
         """Forest-variable radius 1 / (c_star * delta)."""
         return 1.0 / self.disk_radius(delta)
+
+
+def fixed_a_bound(class_index: int, kappa, a: float) -> BoundResult:
+    """Per-a disk constant C(a) = 1 / ((1 - a) x*(a)) with x*(a) from ``solve_x``."""
+    x = solve_x(class_index, kappa, a)
+    if x <= 0.0:
+        raise DomainError(f"threshold x collapsed to zero at a = {a}")
+    return BoundResult(
+        class_index=class_index,
+        kappa=_as_float_kappa(kappa),
+        a_star=a,
+        x_star=x,
+        c_star=1.0 / ((1.0 - a) * x),
+    )
 
 
 def _s_plus(class_index: int, kappa: float, x: float) -> float:
@@ -158,7 +155,7 @@ def _s_plus(class_index: int, kappa: float, x: float) -> float:
 
 
 def minimize_c(class_index: int, kappa) -> BoundResult:
-    """Infimum of c_of_a over a in (0, 1), via the maximum of x s+(x).
+    """Infimum of C(a) over a in (0, 1), via the maximum of x s+(x).
 
     Golden section on x in [0, 1/2] narrows to X_GOLDEN_TOL; the endpoint
     x = 1/2, where the kappa = 0 optimum lies (C = 3, a = 1/3), is compared

@@ -18,11 +18,10 @@ import sys
 from .bounds import (
     TABLE_CHECK_TOL,
     REFERENCE_TABLE,
-    BoundResult,
     constants_table,
+    fixed_a_bound,
     kappa_for_bounds,
     minimize_c,
-    solve_x,
 )
 from .chromatic import (
     DEFAULT_ORACLE_CAP,
@@ -126,7 +125,7 @@ def cmd_analyze(args) -> int:
         note = f" ({entry['note']})" if "note" in entry else ""
         lines.append(f"kappa: {kappa} = {_r6(float(kappa)):.6f}{note}")
 
-    bound = None
+    radius = None
     delta = g.max_degree()
     if not cm.claw_free:
         doc["bound"] = {"applicable": False, "reason": "graph is not claw-free"}
@@ -169,8 +168,7 @@ def cmd_analyze(args) -> int:
             lines.append(
                 f"root: {r.value.real:+.6f}{r.value.imag:+.6f}i residual {r.residual:.3e}"
             )
-        if bound is not None:
-            radius = bound.disk_radius(delta)
+        if radius is not None:
             ok = all(
                 abs(r.value) < radius and radius - abs(r.value) > 10 * r.residual
                 for r in roots
@@ -188,29 +186,22 @@ def cmd_bounds(args) -> int:
     doc: dict = {"class_index": i, "kappa": _r6(kappa)}
     lines = []
     if args.a is not None:
-        x = solve_x(i, kappa, args.a)
-        if x <= 0.0:
-            raise DomainError(f"threshold x collapsed to zero at a = {args.a}")
-        c = 1.0 / ((1.0 - args.a) * x)
-        res = BoundResult(i, kappa, a_star=args.a, x_star=x, c_star=c)
-        doc.update({"a": _r6(args.a), "x": _r6(x), "c": _r6(c)})
-        lines.append(f"a={args.a:.6f} x={x:.6f} C={c:.6f}")
-        if args.delta is not None:
-            z = res.z_star(args.delta)
-            radius = res.disk_radius(args.delta)
-            doc.update({"delta": args.delta, "z": _r6(z), "radius": _r6(radius)})
-            lines.append(f"z={z:.6f} radius={radius:.6f}")
+        res = fixed_a_bound(i, kappa, args.a)
+        doc.update({"a": _r6(res.a_star), "x": _r6(res.x_star), "c": _r6(res.c_star)})
+        lines.append(f"a={res.a_star:.6f} x={res.x_star:.6f} C={res.c_star:.6f}")
+        z_key, z_label = "z", "z"
     else:
         res = minimize_c(i, kappa)
         doc.update(
             {"c_star": _r6(res.c_star), "a_star": _r6(res.a_star), "x_star": _r6(res.x_star)}
         )
         lines.append(f"C={res.c_star:.6f} a*={res.a_star:.6f} x*={res.x_star:.6f}")
-        if args.delta is not None:
-            z = res.z_star(args.delta)
-            radius = res.disk_radius(args.delta)
-            doc.update({"delta": args.delta, "z_star": _r6(z), "radius": _r6(radius)})
-            lines.append(f"z*={z:.6f} radius={radius:.6f}")
+        z_key, z_label = "z_star", "z*"
+    if args.delta is not None:
+        z = res.z_star(args.delta)
+        radius = res.disk_radius(args.delta)
+        doc.update({"delta": args.delta, z_key: _r6(z), "radius": _r6(radius)})
+        lines.append(f"{z_label}={z:.6f} radius={radius:.6f}")
     _emit(doc, args.json, lines)
     return 0
 

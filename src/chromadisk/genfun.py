@@ -91,7 +91,7 @@ def tree_series(params: BranchingParams, y: float) -> float:
     raised.
     """
     r = params.radius
-    if y < 0 or y >= r:
+    if not 0 <= y < r:
         err = DomainError(f"y must be in [0, {r}), got {y}")
         err.radius = r
         raise err
@@ -110,10 +110,9 @@ def degree_tree_bound(delta: int, y: float) -> float:
     if not isinstance(delta, int) or delta < 3:
         raise DomainError("delta must be an integer >= 3")
     hi = 1.0 / (2.0 * (delta - 1))
-    if y < 0 or y > hi:
+    if not 0 <= y <= hi:
         raise DomainError(f"y must be in [0, {hi}], got {y}")
-    s = _safe_sqrt(1.0 - 2.0 * (delta - 1) * y)
-    return 4.0 / ((1.0 + s) ** 2)
+    return envelope_bound((delta - 1) * y)
 
 
 def envelope_bound(x: float) -> float:
@@ -122,7 +121,7 @@ def envelope_bound(x: float) -> float:
     Satisfies envelope_bound(x) >= degree_tree_bound(delta, x / delta) for
     every integer delta >= 3; it ranges from 1 at x = 0 to 4 at x = 1/2.
     """
-    if x < 0 or x > 0.5:
+    if not 0 <= x <= 0.5:
         raise DomainError(f"x must be in [0, 0.5], got {x}")
     s = _safe_sqrt(1.0 - 2.0 * x)
     return 4.0 / ((1.0 + s) ** 2)
@@ -142,11 +141,13 @@ def penrose_tree_series(
     entry k times y^k is the quantity the closed-form bounds dominate.
     Enumeration over more than ``max_vertices`` usable vertices is refused.
     """
+    # Called before the cap so that a stray vertex is reported, not counted.
+    trees = penrose_trees_containing(g, ordering, v, allowed=allowed)
     usable = g.n if allowed is None else len(frozenset(allowed))
     if usable > max_vertices:
         raise EnumerationCapError("penrose tree enumeration", usable, max_vertices)
     counts: list[int] = []
-    for tree in penrose_trees_containing(g, ordering, v, allowed=allowed):
+    for tree in trees:
         k = len(tree)
         if len(counts) <= k:
             counts.extend([0] * (k + 1 - len(counts)))

@@ -74,13 +74,20 @@ class Graph:
         return max(len(s) for s in self.adj)
 
     def induced(self, vertices) -> "Graph":
-        """Induced subgraph, relabeled to 0..k-1 in increasing vertex order."""
+        """Induced subgraph, relabeled to 0..k-1 in increasing vertex order.
+
+        A vertex outside 0..n-1 raises ValueError."""
         vs = sorted(set(vertices))
+        if vs and not (0 <= vs[0] and vs[-1] < self.n):
+            bad = vs[0] if vs[0] < 0 else vs[-1]
+            raise ValueError(f"vertex {bad} is outside 0..{self.n - 1}")
         pos = {v: i for i, v in enumerate(vs)}
         keep = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
         return Graph(len(vs), keep)
 
     def without_vertex(self, v: int) -> "Graph":
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} is outside 0..{self.n - 1}")
         return self.induced(set(range(self.n)) - {v})
 
     def relabel(self, perm) -> "Graph":
@@ -212,6 +219,8 @@ def is_square_free(g: Graph) -> bool:
     non-adjacent common neighbors, so only pairs at distance two are tested.
     """
     for u in range(g.n):
+        if len(g.adj[u]) < 2:
+            continue  # a vertex of degree below two lies on no 4-cycle
         for w in {w for v in g.adj[u] for w in g.adj[v]}:
             if w > u and w not in g.adj[u] and _has_non_adjacent_pair(g, g.adj[u] & g.adj[w]):
                 return False
@@ -221,10 +230,16 @@ def is_square_free(g: Graph) -> bool:
 def is_diamond_free(g: Graph) -> bool:
     """True when no 4 vertices induce a complete graph minus one edge.
 
-    A diamond is an edge whose endpoints have two non-adjacent common
-    neighbors.
+    A diamond with middle edge vw has as its other vertices two non-adjacent
+    common neighbors a, b of v and w, so a-w-b is an induced path inside
+    N(v); conversely an induced three-vertex path inside N(v) makes a diamond
+    with v. So the graph is diamond-free exactly when every N(v) is a
+    disjoint union of cliques. The sets N[a] & N(v) for a in N(v) cover N(v),
+    so the sizes of the distinct ones sum to |N(v)| exactly when they are
+    pairwise disjoint, which is when adjacency inside N(v) is transitive:
+    when N(v) is a union of cliques.
     """
-    return not any(_has_non_adjacent_pair(g, g.adj[u] & g.adj[v]) for u, v in g.edges)
+    return all(sum(map(len, {g.adj[a] & nv | {a} for a in nv})) == len(nv) for nv in g.adj)
 
 
 def classify(g: Graph) -> ClassMembership:

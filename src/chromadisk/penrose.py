@@ -66,6 +66,7 @@ class VertexOrdering:
     @classmethod
     def anchored_at(cls, g: Graph, u: int) -> "VertexOrdering":
         """u first, then its neighbors ascending, then the rest ascending."""
+        _check_vertices(g, (u,))
         ns = sorted(g.adj[u])
         rest = sorted(set(range(g.n)) - {u} - set(ns))
         return cls.from_order([u, *ns, *rest])
@@ -73,6 +74,7 @@ class VertexOrdering:
     @classmethod
     def anchored_at_pair(cls, g: Graph, u: int, v1: int, v2: int) -> "VertexOrdering":
         """u, then v1, v2 from its neighborhood, then remaining neighbors, then rest."""
+        _check_vertices(g, (u,))
         if v1 == v2 or v1 not in g.adj[u] or v2 not in g.adj[u]:
             raise ContractViolationError("v1, v2 must be distinct neighbors of u")
         ns = sorted(g.adj[u] - {v1, v2})
@@ -81,6 +83,13 @@ class VertexOrdering:
 
     def least(self, vertices) -> int:
         return min(vertices, key=self.rank.__getitem__)
+
+
+def _check_vertices(g: Graph, vertices) -> None:
+    """ContractViolationError naming the first of ``vertices`` outside 0..n-1."""
+    for w in vertices:
+        if not 0 <= w < g.n:
+            raise ContractViolationError(f"vertex {w} is outside 0..{g.n - 1}")
 
 
 def _checked_ordering(g: Graph, ordering: VertexOrdering | None) -> VertexOrdering:
@@ -286,9 +295,11 @@ def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed
     """Yield the edge sets of Penrose trees whose vertex set contains v, the
     empty tree (v alone) included. ``allowed`` restricts the usable vertices
     and must hold v; the trees rooted at allowed vertices not after v are
-    grown, and those that reach v are kept."""
+    grown, and those that reach v are kept. Arguments are checked when the
+    function is called, before the first tree is grown."""
     ordering = _checked_ordering(g, ordering)
     allowed = frozenset(range(g.n) if allowed is None else allowed)
+    _check_vertices(g, allowed)
     if v not in allowed:
         raise ContractViolationError("v must be in the allowed set")
     roots = [r for r in ordering.order[: ordering.rank[v] + 1] if r in allowed]

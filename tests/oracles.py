@@ -3,7 +3,7 @@
 Everything here is deliberately naive: exhaustive subset scans and explicit
 structure enumeration, no sharing with the package's algorithms beyond the
 closure definition itself. The exceptions are minimize_c_nested, a brute
-force over a built on the package's fixed-a threshold solve_x, which checks
+force over a built on the package's fixed-a constant fixed_a_bound, which checks
 the closed-form minimize_c, and verify_partition_scheme_scan, which tests
 every spanning tree against every connected edge set with the package's
 penrose_closure. That function applies the chord rule penrose._closure_chords,
@@ -20,11 +20,10 @@ from chromadisk import (
     Graph,
     RootedTreeView,
     VertexOrdering,
-    c_of_a,
+    fixed_a_bound,
     is_penrose_forest,
     is_penrose_tree,
     penrose,
-    solve_x,
 )
 from chromadisk.penrose import SchemeCounterexample, SchemeReport
 
@@ -272,7 +271,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def minimize_c_nested(class_index: int, kappa: float) -> BoundResult:
-    """Infimum of c_of_a over a in (0, 1) by brute force over a.
+    """Infimum of fixed_a_bound over a in (0, 1) by brute force over a.
 
     A grid of 999 values of a, each solved for x by bisection, brackets the
     minimizer; golden section on a narrows the bracket to A_GOLDEN_TOL.
@@ -280,12 +279,12 @@ def minimize_c_nested(class_index: int, kappa: float) -> BoundResult:
     k = float(kappa)
     steps = round(1.0 / A_GRID_STEP) - 1
     grid = [(j + 1) * A_GRID_STEP for j in range(steps)]
-    vals = [c_of_a(class_index, k, a) for a in grid]
+    vals = [fixed_a_bound(class_index, k, a).c_star for a in grid]
     j = min(range(len(grid)), key=lambda i: (vals[i], grid[i]))
     lo = grid[j - 1] if j > 0 else grid[0]
     hi = grid[j + 1] if j + 1 < len(grid) else grid[-1]
 
-    f = lambda a: c_of_a(class_index, k, a)
+    f = lambda a: fixed_a_bound(class_index, k, a).c_star
     c = hi - _INVPHI * (hi - lo)
     d = lo + _INVPHI * (hi - lo)
     fc, fd = f(c), f(d)
@@ -298,12 +297,4 @@ def minimize_c_nested(class_index: int, kappa: float) -> BoundResult:
             lo, c, fc = c, d, fd
             d = lo + _INVPHI * (hi - lo)
             fd = f(d)
-    a_star = c if fc <= fd else d
-    x_star = solve_x(class_index, k, a_star)
-    return BoundResult(
-        class_index=class_index,
-        kappa=k,
-        a_star=a_star,
-        x_star=x_star,
-        c_star=1.0 / ((1.0 - a_star) * x_star),
-    )
+    return fixed_a_bound(class_index, k, c if fc <= fd else d)

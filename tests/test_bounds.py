@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,14 +10,13 @@ from chromadisk import (
     DomainError,
     EnumerationCapError,
     REFERENCE_TABLE,
-    c_of_a,
     constants_table,
+    fixed_a_bound,
     kappa_for_bounds,
     minimize_c,
     ratio_bound,
     solve_x,
     solve_x_linear,
-    z_of_a,
 )
 from chromadisk.bounds import MAX_TABLE_ROWS
 from oracles import minimize_c_nested
@@ -48,6 +48,10 @@ class TestRatioBound:
         with pytest.raises(DomainError):
             ratio_bound(0, 0.5, 0.5, 0.6)
 
+    def test_nan_x_is_outside_the_domain(self):
+        with pytest.raises(DomainError):
+            ratio_bound(0, 0.5, 0.5, math.nan)
+
 
 class TestThreshold:
     def test_kappa_zero_hits_cap(self):
@@ -66,7 +70,7 @@ class TestThreshold:
         # at the kappa=1 minimizer the threshold reproduces the class-0 constant
         x = solve_x(0, 1.0, 0.376232)
         assert x == pytest.approx(0.42158, abs=2e-5)
-        assert c_of_a(0, 1.0, 0.376232) == pytest.approx(3.802747, abs=TOL)
+        assert fixed_a_bound(0, 1.0, 0.376232).c_star == pytest.approx(3.802747, abs=TOL)
 
     def test_increasing_kappa_shrinks_threshold(self):
         for a in (0.2, 1 / 3, 0.4):
@@ -76,26 +80,37 @@ class TestThreshold:
 
 class TestPerAConstants:
     def test_kappa_zero_constant(self):
-        assert c_of_a(0, 0.0, 1 / 3) == pytest.approx(3.0, abs=1e-12)
+        assert fixed_a_bound(0, 0.0, 1 / 3).c_star == pytest.approx(3.0, abs=1e-12)
 
     def test_z_plugin(self):
-        assert z_of_a(0, 0.0, 1 / 3, 3) == pytest.approx(1 / 9, abs=1e-12)
+        assert fixed_a_bound(0, 0.0, 1 / 3).z_star(3) == pytest.approx(1 / 9, abs=1e-12)
 
     def test_half_kappa_class1(self):
-        assert c_of_a(1, 0.5, 0.363490) == pytest.approx(3.393730, abs=TOL)
+        assert fixed_a_bound(1, 0.5, 0.363490).c_star == pytest.approx(3.393730, abs=TOL)
 
     def test_z_needs_real_degree(self):
         with pytest.raises(DomainError):
-            z_of_a(0, 0.0, 1 / 3, 2)
+            fixed_a_bound(0, 0.0, 1 / 3).z_star(2)
 
     def test_z_past_float_range(self):
         with pytest.raises(DomainError, match="exceeds the float range"):
-            z_of_a(0, 0.5, 0.35, 10**400)
-        assert 0.0 < z_of_a(0, 0.5, 0.35, 10**300) < 1e-300
+            fixed_a_bound(0, 0.5, 0.35).z_star(10**400)
+        assert 0.0 < fixed_a_bound(0, 0.5, 0.35).z_star(10**300) < 1e-300
+
+    def test_result_carries_the_given_a(self):
+        r = fixed_a_bound(1, Fraction(1, 2), 0.363490)
+        assert (r.class_index, r.a_star) == (1, 0.363490)
+        assert r.kappa == 0.5 and type(r.kappa) is float
+        assert r.x_star == solve_x(1, 0.5, 0.363490)
+        assert r.c_star == 1.0 / ((1.0 - 0.363490) * r.x_star)
+
+    def test_threshold_collapse(self):
+        with pytest.raises(DomainError, match="threshold x collapsed to zero at a = 1e-15"):
+            fixed_a_bound(0, 0.5, 1e-15)
 
     def test_constant_grows_with_kappa(self):
         for a in (0.3, 0.37):
-            cs = [c_of_a(1, k, a) for k in (0.0, 0.25, 0.5, 0.75, 1.0)]
+            cs = [fixed_a_bound(1, k, a).c_star for k in (0.0, 0.25, 0.5, 0.75, 1.0)]
             assert all(x <= y for x, y in zip(cs, cs[1:]))
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from chromadisk import (
     BranchingParams,
+    ContractViolationError,
     DomainError,
     EnumerationCapError,
     Graph,
@@ -115,6 +116,10 @@ class TestClosedForm:
         with pytest.raises(DomainError):
             tree_series(p, -0.01)
 
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(DomainError):
+            tree_series(params(2, 1), math.nan)
+
     def test_radius_value(self):
         assert params(2, 1).radius == pytest.approx(0.25)
         assert params(3, 0).radius == pytest.approx(1 / 3)
@@ -131,6 +136,8 @@ class TestBoundingFunctions:
             envelope_bound(-0.001)
         with pytest.raises(DomainError):
             envelope_bound(0.501)
+        with pytest.raises(DomainError):
+            envelope_bound(math.nan)
 
     def test_degree_bound_domain(self):
         with pytest.raises(DomainError):
@@ -139,7 +146,15 @@ class TestBoundingFunctions:
             degree_tree_bound(3.0, 0.1)
         with pytest.raises(DomainError):
             degree_tree_bound(3, 0.26)
+        with pytest.raises(DomainError, match=r"y must be in \[0, 0.25\], got nan"):
+            degree_tree_bound(3, math.nan)
         assert degree_tree_bound(3, 0.25) == pytest.approx(4.0)
+
+    def test_degree_bound_is_the_envelope_at_delta_minus_one_times_y(self):
+        for delta in (3, 4, 7, 50):
+            hi = 1.0 / (2.0 * (delta - 1))
+            for y in (0.0, hi / 3, hi / 2, hi):
+                assert degree_tree_bound(delta, y) == envelope_bound((delta - 1) * y)
 
     def test_both_increasing(self):
         xs = [i / 40 for i in range(21)]
@@ -197,6 +212,16 @@ class TestEnumeratedSeries:
             big, _v_first(13, 0), 0, allowed=set(range(12))
         )
         assert restricted[0] == 1
+
+    @pytest.mark.parametrize("stray", [-1, 99])
+    def test_allowed_vertex_outside_graph(self, stray):
+        # checked before the cap, so the stray vertex is named even at the cap
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        for cap in (12, 3):
+            with pytest.raises(ContractViolationError, match=f"vertex {stray} "):
+                penrose_tree_series(
+                    g, VertexOrdering.natural(4), 1, allowed={0, 1, 2, stray}, max_vertices=cap
+                )
 
     @settings(max_examples=20, deadline=None)
     @given(st.sampled_from([3, 4, 5]), st.integers(0, 5))

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 from contextlib import suppress
 from fractions import Fraction
@@ -84,6 +85,16 @@ class TestConstruction:
         g = k3()
         h = g.without_vertex(1)
         assert (h.n, h.m) == (2, 1)
+
+    @pytest.mark.parametrize("vertices", [[-1, 0, 1], [0, 1, 99], [99, -1]])
+    def test_induced_rejects_vertex_outside_graph(self, vertices):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            path_graph(4).induced(vertices)
+
+    @pytest.mark.parametrize("v", [-1, 4, 99])
+    def test_without_vertex_rejects_vertex_outside_graph(self, v):
+        with pytest.raises(ValueError, match=f"vertex {v} is outside 0..3"):
+            path_graph(4).without_vertex(v)
 
 
 class TestParse:
@@ -212,6 +223,13 @@ class TestDegreeAndClasses:
             assert (sf, df) == (is_square_free_scan(g), is_diamond_free_scan(g)), g
             flags.add((sf, df))
         assert flags == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_local_tests_on_dense_and_high_degree_graphs(self):
+        # each took over 10 s when every edge or every distance-two pair was scanned
+        start = time.perf_counter()
+        assert is_diamond_free(complete_graph(150))
+        assert is_square_free(star_graph(4000))
+        assert time.perf_counter() - start < 3.0
 
 
 class TestNeighborhoodStats:

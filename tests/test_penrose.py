@@ -83,6 +83,14 @@ class TestOrdering:
         o = VertexOrdering.anchored_at_pair(g, 0, 1, 4)
         assert o.order[:3] == (0, 1, 4)
 
+    @pytest.mark.parametrize("u", [-1, 9])
+    def test_anchor_outside_graph(self, u):
+        g = cycle_graph(4)
+        with pytest.raises(ContractViolationError, match=f"vertex {u} "):
+            VertexOrdering.anchored_at(g, u)
+        with pytest.raises(ContractViolationError, match=f"vertex {u} "):
+            VertexOrdering.anchored_at_pair(g, u, 1, 3)
+
     def test_anchored_at_pair_rejects_non_neighbor(self):
         g = cycle_graph(5)
         with pytest.raises(ContractViolationError):
@@ -296,6 +304,12 @@ class TestTreesContaining:
     def test_v_must_be_allowed(self):
         with pytest.raises(ContractViolationError):
             penrose_trees_containing(k3(), nat(3), 0, allowed={1, 2})
+
+    @pytest.mark.parametrize("stray", [-1, 99])
+    def test_allowed_vertex_outside_graph(self, stray):
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ContractViolationError, match=f"vertex {stray} "):
+            penrose_trees_containing(g, nat(4), 1, allowed={0, 1, 2, stray})
 
 
 _PATH = [(0, 1), (1, 2), (2, 3)]
