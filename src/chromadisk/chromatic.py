@@ -12,18 +12,27 @@ keep vertex order, so the recursion eliminates vertex 0 until the peel drops
 it, then the next vertex: minors differ only around the vertices eliminated
 so far, and they repeat often. Input graphs are also remembered by their
 bitmask tuples, so a repeated input is answered before any of this starts.
+
+Roots are found in the standard library alone: the integer roots 0, 1, ...
+are divided out exactly, and the cofactor's roots come from Aberth–Ehrlich
+iteration in complex doubles.
 """
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, EnumerationCapError
 from .graphs import Graph, IsomorphismTable, adjacency_masks, components
 from .intpoly import IntPolynomial
 
 DEFAULT_ORACLE_CAP = 16
+# Aberth–Ehrlich stops each root once |p(z)| <= STOP_TOLERANCE * sum_k |c_k|
+# |z|^k, a multiple of the rounding error of Horner's rule, and every root
+# after ABERTH_MAX_SWEEPS sweeps; the seed-1 certify polynomials need at most 9.
+STOP_TOLERANCE = 8 * sys.float_info.epsilon
+ABERTH_MAX_SWEEPS = 100
 
 
 class ChromaticCache(IsomorphismTable):
@@ -189,23 +198,154 @@ class PolynomialRoot:
     residual: float
 
 
-def polynomial_roots(p: IntPolynomial) -> list[PolynomialRoot]:
-    """All complex roots via the companion matrix, with a relative residual.
+def _strip_integer_roots(p: IntPolynomial) -> tuple[list[int], IntPolynomial]:
+    """Divide out (q - k) exactly for k = 0, 1, 2, ... while k is a root.
 
-    The residual is |p(r)| / (sum_k |c_k| max(1, |r|)^deg), small when the
-    root is numerically trustworthy. Roots are sorted by real part, then
-    imaginary part. Raises DomainError when a coefficient or a residual's
-    scale exceeds the float range, where neither means anything.
+    Stops at the first k >= 1 that is not a root of p. A chromatic polynomial
+    has the roots 0, 1, ..., chi - 1 and is positive at every integer k >=
+    chi, so for one this strips exactly those roots with their
+    multiplicities. Returns the stripped roots in increasing order and the
+    cofactor.
+    """
+    c = list(p.coeffs)
+    roots = []
+    k = 0
+    while len(c) > 1:
+        # Synthetic division: c = (q - k) quotient + remainder.
+        quotient = [0] * (len(c) - 1)
+        remainder = c[-1]
+        for i in range(len(c) - 2, -1, -1):
+            quotient[i] = remainder
+            remainder = c[i] + k * remainder
+        if remainder == 0:
+            roots.append(k)
+            c = quotient
+        elif k == 0 or roots[-1:] == [k]:
+            k += 1
+        else:
+            break
+    return roots, IntPolynomial(c)
+
+
+def _start_points(c: list[float]) -> list[complex]:
+    """Bini's start points, on circles about the centroid s of the roots.
+
+    The coefficients a_k of c(q + s) give the points (k, log|a_k|). Each edge
+    from j to k of their upper convex hull puts k - j points on the circle of
+    radius (|a_j| / |a_k|)^(1 / (k - j)) about s. When s is itself a root,
+    the circles are centred on 0 and use c's own coefficients.
+    """
+    n = len(c) - 1
+    s = -c[n - 1] / (n * c[n])
+    a = list(c)
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            a[k] += s * a[k + 1]
+    if a[0] == 0:
+        s, a = 0.0, c
+    hull = []
+    for k, x in enumerate(a):
+        if x:
+            y = math.log(abs(x))
+            while len(hull) > 1:
+                (k1, y1), (k2, y2) = hull[-2:]
+                if (y2 - y1) * (k - k1) > (y - y1) * (k2 - k1):
+                    break
+                hull.pop()
+            hull.append((k, y))
+    z = []
+    for (j, yj), (k, yk) in zip(hull, hull[1:]):
+        radius = math.exp((yj - yk) / (k - j))
+        z += [s + cmath.rect(radius, 2 * math.pi * (t / (k - j) + j / n) + 0.7) for t in range(k - j)]
+    return z
+
+
+def _aberth(c: list[float]) -> list[complex]:
+    """All roots of c (floats by degree, c[0] != 0) by Aberth–Ehrlich iteration.
+
+    Gauss–Seidel sweeps: each root moves at once, and the roots after it in
+    the sweep see the new value.
+    """
+    lead, *rest = reversed(c)
+    terms = [(x, abs(x)) for x in rest]
+    z = _start_points(c)
+    todo = range(len(z))
+    for _ in range(ABERTH_MAX_SWEEPS):
+        left = []
+        for i in todo:
+            zi = z[i]
+            r = abs(zi)
+            val, der, bound = lead, 0j, abs(lead)
+            for x, ax in terms:
+                der = der * zi + val
+                val = val * zi + x
+                bound = bound * r + ax
+            if abs(val) <= STOP_TOLERANCE * bound:
+                continue
+            left.append(i)
+            pull = 0j
+            for zj in z:
+                d = zi - zj
+                if d:
+                    pull += 1 / d
+            den = der - val * pull
+            if den:
+                z[i] = zi - val / den
+        if not left:
+            break
+        todo = left
+    return z
+
+
+def _conjugate_pairs(c: list[float], z: list[complex]) -> list[complex]:
+    """Make roots of the real polynomial c real or exact conjugate pairs.
+
+    A root whose real part alone passes Aberth's stopping test becomes real.
+    If the others split evenly between the half-planes, the lower half is
+    replaced by the conjugates of the upper.
+    """
+    real, upper, lower = [], [], []
+    for w in z:
+        x = w.real
+        val = bound = 0.0
+        for ck in reversed(c):
+            val = val * x + ck
+            bound = bound * abs(x) + abs(ck)
+        if abs(val) <= STOP_TOLERANCE * bound:
+            real.append(complex(x))
+        else:
+            (upper if w.imag > 0 else lower).append(w)
+    if len(upper) == len(lower):
+        lower = [w.conjugate() for w in upper]
+    return real + upper + lower
+
+
+def polynomial_roots(p: IntPolynomial) -> list[PolynomialRoot]:
+    """All complex roots, with a relative residual, in pure Python.
+
+    The integer roots 0, 1, ... come out exactly (``_strip_integer_roots``).
+    The cofactor's roots come from Aberth–Ehrlich iteration in complex
+    doubles, started on Bini's Newton-polygon circles; a real root is
+    reported with a zero imaginary part and the others as exact conjugate
+    pairs. The residual is |p(r)| / (sum_k |c_k| max(1, |r|)^deg) against p
+    itself, small when the root is numerically trustworthy. Roots are sorted
+    by real part, then imaginary part. Raises DomainError when a coefficient
+    or a residual's scale exceeds the float range, where neither means
+    anything.
     """
     if p.degree < 1:
         return []
+    integer_roots, cofactor = _strip_integer_roots(p)
+    values = [complex(k) for k in integer_roots]
     out = []
     try:
+        if cofactor.degree > 0:
+            c = [float(x) for x in cofactor.coeffs]
+            values += _conjugate_pairs(c, _aberth(c))
         csum = float(sum(abs(c) for c in p.coeffs))
-        for r in np.roots([float(c) for c in reversed(p.coeffs)]):
-            r = complex(r)
+        for r in values:
             scale = csum * max(1.0, abs(r)) ** p.degree
-            if math.isinf(scale):
+            if math.isinf(scale) or not cmath.isfinite(r):
                 raise OverflowError
             out.append(PolynomialRoot(value=r, residual=abs(p(r)) / scale))
     except OverflowError:

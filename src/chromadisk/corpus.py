@@ -102,11 +102,13 @@ def icosahedron() -> Graph:
 def line_graph(g: Graph) -> Graph:
     """Vertex per edge of g, adjacent when the edges share an endpoint."""
     es = sorted(g.edges)
-    idx = {e: i for i, e in enumerate(es)}
-    out = []
-    for e, f in combinations(es, 2):
-        if set(e) & set(f):
-            out.append((idx[e], idx[f]))
+    incident = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(es):
+        incident[u].append(i)
+        incident[v].append(i)
+    # Two edges share at most one endpoint, so each pair is found once; sorted,
+    # the pairs come in the order of a scan over all pairs of sorted edges.
+    out = sorted(pair for edges in incident for pair in combinations(edges, 2))
     return Graph(len(es), out)
 
 

@@ -301,7 +301,13 @@ def pair_independence_ratio(g: Graph) -> Fraction:
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    return tuple(sum(1 << w for w in g.adj[v]) for v in range(g.n))
+    out = []
+    for nbrs in g.adj:
+        m = 0
+        for w in nbrs:
+            m |= 1 << w
+        out.append(m)
+    return tuple(out)
 
 
 def _bits(mask: int) -> list[int]:

@@ -393,7 +393,7 @@ def chromatic_to_forest(p: IntPolynomial) -> IntPolynomial:
     n = p.degree
     if n < 0 or p.coeff(n) != 1:
         raise ValueError("expected a monic chromatic polynomial")
-    return IntPolynomial([(-1) ** k * p.coeff(n - k) for k in range(n + 1)])
+    return IntPolynomial([-c if k & 1 else c for k, c in enumerate(reversed(p.coeffs))])
 
 
 def chromatic_via_penrose(

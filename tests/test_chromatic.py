@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -280,6 +283,75 @@ class TestRoots:
         p = chromatic_deletion_contraction(complete_graph(n), max_vertices=n)
         with pytest.raises(DomainError, match=f"overflows on the degree-{n} polynomial"):
             polynomial_roots(p)
+
+
+def _expand(values):
+    """Coefficients by degree of the product of (q - r) over values."""
+    out = [1 + 0j]
+    for r in values:
+        out = [(out[k - 1] if k else 0) - r * (out[k] if k < len(out) else 0) for k in range(len(out) + 1)]
+    return out
+
+
+class TestExactIntegerRoots:
+    @pytest.mark.parametrize("n", [25, 30])
+    def test_complete_graph_roots_are_exact(self, n):
+        p = chromatic_deletion_contraction(complete_graph(n), max_vertices=n)
+        assert [r.value for r in polynomial_roots(p)] == [complex(k) for k in range(n)]
+
+    def test_multiple_roots_of_a_triangle_chain_are_exact(self):
+        # Five triangles glued at cut vertices: P = q (q - 1)^5 (q - 2)^5.
+        g = Graph(11, [e for t in range(0, 10, 2) for e in ((t, t + 1), (t, t + 2), (t + 1, t + 2))])
+        p = chromatic_deletion_contraction(g)
+        assert p == IntPolynomial((0, 1)) * IntPolynomial((-1, 1)) ** 5 * IntPolynomial((-2, 1)) ** 5
+        assert [r.value for r in polynomial_roots(p)] == [0j] + [1 + 0j] * 5 + [2 + 0j] * 5
+
+    def test_strip_stops_at_the_first_positive_non_root(self):
+        # (q - 1)(q - 3): 0 is skipped, 1 is stripped, 2 is no root, so 3 stays.
+        roots, cofactor = chromatic._strip_integer_roots(IntPolynomial((3, -4, 1)))
+        assert roots == [1] and cofactor == IntPolynomial((-3, 1))
+
+    def test_strip_takes_exactly_the_roots_below_chi(self):
+        # K4 beside C5: chi = 4 and P = q^2 (q-1)^2 (q-2)^2 (q-3) (q^2 - 2q + 2).
+        g = disjoint_union(complete_graph(4), cycle_graph(5))
+        roots, cofactor = chromatic._strip_integer_roots(chromatic_deletion_contraction(g))
+        assert roots == [0, 0, 1, 1, 2, 2, 3]
+        assert cofactor == IntPolynomial((2, -2, 1))
+
+    def test_integer_root_above_a_gap_is_found_by_iteration(self):
+        # (q - 3)(q^2 + 1): the strip stops at k = 1 and leaves 3 in the cofactor.
+        rs = polynomial_roots(IntPolynomial((-3, 1)) * IntPolynomial((1, 0, 1)))
+        assert [r.value for r in rs] == pytest.approx([-1j, 1j, 3], abs=1e-12)
+
+    def test_repeated_non_real_roots_terminate(self):
+        rs = polynomial_roots(IntPolynomial((1, 0, 1)) ** 2)
+        assert len(rs) == 4
+        assert sorted(round(r.value.imag) for r in rs) == [-1, -1, 1, 1]
+        assert all(abs(r.value - 1j * round(r.value.imag)) < 1e-6 for r in rs)
+
+    @pytest.mark.parametrize(
+        "g",
+        [icosahedron(), line_graph(complete_graph(5)), _circulant(13, (1, 2)), cycle_graph(20)]
+        + random_graph_batch(12, sizes=(9, 10, 11)),
+        ids=lambda g: f"n{g.n}m{g.m}",
+    )
+    def test_roots_multiply_back_to_the_polynomial(self, g):
+        p = chromatic_deletion_contraction(g, max_vertices=g.n)
+        rs = polynomial_roots(p)
+        assert len(rs) == p.degree
+        assert all(r.residual < 1e-12 for r in rs)
+        values = [r.value for r in rs]
+        # Non-real roots come in exact conjugate pairs.
+        key = lambda v: (v.real, v.imag)
+        assert sorted((v.conjugate() for v in values), key=key) == values
+        scale = sum(abs(c) for c in p.coeffs)
+        for got, want in zip(_expand(values), p.coeffs):
+            assert abs(got - want) < 1e-9 * scale
+
+    def test_package_imports_without_numpy(self):
+        code = "import sys, chromadisk.cli; sys.exit('numpy' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestColoringCounter:
