@@ -1,17 +1,15 @@
-"""Chromatic polynomials by deletion and contraction, and their roots.
+"""Chromatic polynomials by a frontier transfer, and their roots.
 
-The recursion works on tuples of adjacency bitmasks. Each step first drops
-simplicial vertices, whose neighbours are pairwise adjacent: such a vertex v
-contributes the factor (q - deg v), so trees, complete graphs and other
-chordal graphs never branch. What is left splits into components, and each
-connected minor is looked up in the cache, a ``graphs.IsomorphismTable``;
-isomorphic minors share one entry, and a lookup never returns a
-non-isomorphic minor's polynomial. A minor not found there is split on the
-edge from vertex 0 to its lowest neighbour. The peel and the contraction
-keep vertex order, so the recursion eliminates vertex 0 until the peel drops
-it, then the next vertex: minors differ only around the vertices eliminated
-so far, and they repeat often. Input graphs are also remembered by their
-bitmask tuples, so a repeated input is answered before any of this starts.
+The transfer adds the vertices one at a time in maximum cardinality search
+order. The frontier is the set of added vertices that still have a neighbour
+to come; a proper colouring of the added vertices splits it into colour
+classes, and the transfer keeps, for each such partition, the polynomial
+counting the colourings that induce it. Its cost follows from the order: the
+states at a step are at most the partitions of that step's frontier, whatever
+the labelling. This is the chromatic case of the frontier method (Sekine,
+Imai and Tani, ISAAC 1995; Bedini and Jacobsen, J. Phys. A 2010). Input
+graphs are remembered by their bitmask tuples, so a repeated input is
+answered before any of this starts.
 
 Roots are found in the standard library alone: the integer roots 0, 1, ...
 are divided out exactly, and the cofactor's roots come from Aberth–Ehrlich
@@ -24,7 +22,7 @@ import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, EnumerationCapError
-from .graphs import Graph, IsomorphismTable, adjacency_masks, components
+from .graphs import Graph, adjacency_masks
 from .intpoly import IntPolynomial
 
 DEFAULT_ORACLE_CAP = 16
@@ -35,18 +33,17 @@ STOP_TOLERANCE = 8 * sys.float_info.epsilon
 ABERTH_MAX_SWEEPS = 100
 
 
-class ChromaticCache(IsomorphismTable):
-    """Solved minors, one per isomorphism class, and solved inputs.
+class ChromaticCache:
+    """Solved input graphs, keyed by their exact adjacency bitmask tuples.
 
-    The table holds each connected minor the recursion branches on. Input
-    graphs are kept apart, keyed by their exact bitmask tuples, and a
-    repeated input counts as a hit without a refinement or a probe.
-    ``clear`` empties both and zeroes the counters.
+    A repeated input is answered at once and counts as a hit; any other
+    input, a relabelled copy included, is a miss and runs the transfer.
+    ``clear`` empties the table and zeroes the counters.
     """
 
     def __init__(self):
-        super().__init__()
         self._inputs: dict[tuple, IntPolynomial] = {}
+        self.hits = self.misses = 0
 
     def clear(self):
         self.__init__()
@@ -55,108 +52,78 @@ class ChromaticCache(IsomorphismTable):
 _default_cache = ChromaticCache()
 
 
-def _restrict(adj, keep: int) -> tuple[int, ...]:
-    """Adjacency of the subgraph induced by the vertex mask keep, renumbered in order."""
-    out = [a for v, a in enumerate(adj) if keep >> v & 1]
-    drop = ((1 << len(adj)) - 1) & ~keep
-    while drop:
-        v = drop.bit_length() - 1
-        drop ^= 1 << v
-        low = (1 << v) - 1
-        out = [(a & low) | (a >> (v + 1) << v) for a in out]
-    return tuple(out)
+def _order(adj) -> tuple[list[int], list[int]]:
+    """Maximum cardinality search order, and the vertices leaving at each step.
 
-
-def _peel(adj) -> tuple[IntPolynomial, tuple[int, ...]]:
-    """Drop simplicial vertices while there are any; P_G = (q - deg v) P_{G-v}.
-
-    Returns the product of the dropped vertices' factors and the adjacency of
-    the vertices left, renumbered in order. A simplicial vertex stays
-    simplicial when other vertices go, so the vertices left do not depend on
-    the order of removal; only the neighbours of a dropped vertex are tested
-    again.
+    The next vertex is the unprocessed one with the most processed
+    neighbours, the lowest index on ties. After vertex v is processed, only
+    v and its processed neighbours can have lost their last unprocessed
+    neighbour; those that have leave the frontier at that step.
     """
-    adj = list(adj)
-    factor = IntPolynomial.one()
-    alive = todo = (1 << len(adj)) - 1
-    while todo:
-        bit = todo & -todo
-        todo ^= bit
-        a = adj[bit.bit_length() - 1]
-        rest = a
+    weight = [0] * len(adj)
+    order, leaves = [], []
+    done = 0
+    for _ in adj:
+        v = weight.index(max(weight))
+        weight[v] = -1
+        bit = 1 << v
+        done |= bit
+        rest = adj[v] & ~done
         while rest:
-            w = rest & -rest
-            if (adj[w.bit_length() - 1] | w) & a != a:
-                break
-            rest ^= w
-        else:
-            factor = factor * IntPolynomial((-a.bit_count(), 1))
-            alive ^= bit
-            todo |= a
-            rest = a
-            while rest:
-                w = rest & -rest
-                adj[w.bit_length() - 1] ^= bit
-                rest ^= w
-    return factor, _restrict(adj, alive)
+            low = rest & -rest
+            weight[low.bit_length() - 1] += 1
+            rest ^= low
+        leave = 0
+        near = bit | adj[v] & done
+        while near:
+            low = near & -near
+            if not adj[low.bit_length() - 1] & ~done:
+                leave |= low
+            near ^= low
+        order.append(v)
+        leaves.append(leave)
+    return order, leaves
 
 
-def _contract(adj, v: int) -> tuple[int, ...]:
-    """G / 0v: v merges into vertex 0 and the later vertices move down by one."""
-    bv = 1 << v
-    low = bv - 1
-    out = []
-    for x, a in enumerate(adj):
-        if x == v:
-            continue
-        if x == 0:
-            a = (a | adj[v]) & ~(1 | bv)
-        elif a & bv:
-            a |= 1
-        out.append((a & low) | (a >> (v + 1) << v))
-    return tuple(out)
+def _transfer(adj) -> IntPolynomial:
+    """P_G(q) by a transfer over the processed vertices' frontier.
 
-
-def _solve(adj, cache) -> IntPolynomial:
-    poly, adj = _peel(adj)
-    if not adj:
-        return poly
-    comps = components(adj)
-    if len(comps) > 1:
-        for comp in comps:
-            poly = poly * _solve_connected(_restrict(adj, comp), cache)
-        return poly
-    return poly * _solve_connected(adj, cache)
-
-
-def _solve_connected(adj, cache) -> IntPolynomial:
-    """A connected graph with no simplicial vertex, so every degree is at least 2.
-
-    Looks the graph up, else deletes and contracts the edge from vertex 0 to
-    its lowest neighbour v, and stores the result. Deletion only shrinks
-    vertex 0's neighbourhood, and contraction merges v into vertex 0.
+    A state is the frontier's partition into colour classes, a sorted tuple
+    of class bitmasks; its value is the polynomial in q, coefficients by
+    degree, that counts the q-colourings of the processed vertices inducing
+    that partition. The next vertex joins a class with no
+    neighbour of it, or opens a new class with one of the q - b colours the
+    b classes do not use. Leaving vertices are then masked out, and equal
+    states are merged.
     """
-    poly, slot = cache.find(adj)
-    if poly is not None:
-        return poly
-    v = (adj[0] & -adj[0]).bit_length() - 1
-    deleted = list(adj)
-    deleted[0] ^= 1 << v
-    deleted[v] ^= 1
-    poly = _solve(deleted, cache) - _solve(_contract(adj, v), cache)
-    cache.add(slot, poly)
-    return poly
+    states = {(): [1] + [0] * len(adj)}
+    for v, leave in zip(*_order(adj)):
+        bit, nbrs, keep = 1 << v, adj[v], ~leave
+        nxt = {}
+        for classes, value in states.items():
+            b = len(classes)
+            moves = [([s - b * c for s, c in zip([0, *value], value)], classes + (bit,))]
+            for i, c in enumerate(classes):
+                if not c & nbrs:
+                    moves.append((value, classes[:i] + (c | bit,) + classes[i + 1 :]))
+            for val, new in moves:
+                key = tuple(sorted(m for c in new if (m := c & keep)))
+                old = nxt.get(key)
+                nxt[key] = val if old is None else [x + y for x, y in zip(old, val)]
+        states = nxt
+    return IntPolynomial(states[()])
 
 
 def chromatic_deletion_contraction(
     g: Graph, *, cache: ChromaticCache | None = None, max_vertices: int = DEFAULT_ORACLE_CAP
 ) -> IntPolynomial:
-    """Exact chromatic polynomial of g.
+    """Exact chromatic polynomial of g, by a frontier transfer.
 
-    Refuses graphs above ``max_vertices`` (default 16); the recursion is
-    exponential and this package targets desk-scale instances. Passing a
-    shared ChromaticCache makes repeated induced-subgraph calls cheap, and
-    a graph equal to an earlier input is answered from the cache at once.
+    Refuses graphs above ``max_vertices`` (default 16); the transfer's cost
+    grows with the number of partitions of its frontier, and this package
+    targets desk-scale instances. A graph equal to an earlier input, bitmask
+    for bitmask, is answered from the cache, so a shared ChromaticCache makes
+    repeated calls cheap.
     """
     if g.n > max_vertices:
         raise EnumerationCapError("deletion-contraction", g.n, max_vertices)
@@ -167,8 +134,8 @@ def chromatic_deletion_contraction(
     if poly is not None:
         cache.hits += 1
         return poly
-    poly = _solve(adj, cache)
-    cache._inputs[adj] = poly
+    cache.misses += 1
+    poly = cache._inputs[adj] = _transfer(adj)
     return poly
 
 

@@ -9,8 +9,7 @@ degree rather than with the number of vertex quadruples.
 The functions at the end work on adjacency bitmasks: connected components,
 a refinement certificate that isomorphic graphs share, an exact
 isomorphism test, and IsomorphismTable, which keeps one value per
-isomorphism class with the two. The chromatic oracle's memo and
-corpus.iso_distinct are such tables; no other module refines or tests
+isomorphism class with the two. No other module refines or tests
 isomorphism itself.
 """
 
@@ -297,7 +296,7 @@ def pair_independence_ratio(g: Graph) -> Fraction:
 
 
 # Adjacency bitmasks: adj[v] has bit w set when v and w are adjacent. The
-# chromatic oracle stores its minors in this form.
+# chromatic oracle works on graphs in this form.
 
 
 def adjacency_masks(g: Graph) -> tuple[int, ...]:

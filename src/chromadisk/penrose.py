@@ -404,8 +404,8 @@ def chromatic_via_penrose(
 
 
 def forest_polynomial(g: Graph, *, cache=None) -> IntPolynomial:
-    """Forest-count polynomial, converted from the deletion–contraction
-    chromatic polynomial; the counts do not depend on the vertex order.
+    """Forest-count polynomial, converted from the chromatic oracle's
+    polynomial; the counts do not depend on the vertex order.
     ``penrose_polynomial`` counts the same forests directly."""
     # Read through the module, so that a wrapper on its attribute sees the call.
     return chromatic_to_forest(chromatic.chromatic_deletion_contraction(g, cache=cache))

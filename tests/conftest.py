@@ -10,5 +10,5 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture(scope="session")
 def shared_cache():
-    """One deletion-contraction cache for the whole run; minors recur a lot."""
+    """One oracle cache for the whole run; the same induced subgraphs recur a lot."""
     return ChromaticCache()

@@ -37,6 +37,7 @@ from chromadisk.corpus import (
     cycle_graph,
     diamond_graph,
     disjoint_union,
+    iso_distinct,
     line_graph,
     octahedron,
     path_graph,
@@ -400,6 +401,23 @@ class TestIsomorphism:
     def test_components(self):
         g = disjoint_union(cycle_graph(4), Graph(3, [(0, 2)]))
         assert components(adjacency_masks(g)) == [0b1111, 0b1010000, 0b100000]
+
+    @pytest.mark.parametrize("certificates", ["refined", "colliding"])
+    def test_labelled_graphs_on_five_vertices_form_52_classes(self, monkeypatch, certificates):
+        # 1 + 2 + 4 + 11 + 34 classes; with one certificate for every graph,
+        # isomorphic() alone tells the classes of a bucket apart
+        if certificates == "colliding":
+            monkeypatch.setattr(
+                "chromadisk.graphs.refinement_certificate", lambda adj: (0, (0,) * len(adj))
+            )
+        labelled = []
+        for n in range(1, 6):
+            pairs = list(combinations(range(n), 2))
+            labelled += [
+                Graph(n, [e for i, e in enumerate(pairs) if mask >> i & 1])
+                for mask in range(1 << len(pairs))
+            ]
+        assert len(iso_distinct(labelled)) == 52
 
     def test_all_graphs_result_is_not_the_stored_list(self):
         first = all_graphs_up_to_iso(3)
