@@ -20,7 +20,8 @@ the alternating evaluation of the count is the chromatic polynomial.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
+from math import comb
 
 from . import chromatic
 from .errors import ConditioningError, ContractViolationError, DomainError, EnumerationCapError
@@ -31,9 +32,11 @@ DEFAULT_FOREST_CAP = 12
 
 # Largest partition-scheme scan verify_partition_scheme runs, counted as the
 # sum of 2^|E(R)| over the vertex subsets R it checks. The scan keeps two
-# arrays of 2^|E(R)| entries for the subset at hand and costs a few
-# microseconds per mask, so the cap means tens of megabytes and about ten
-# seconds; K8 at r_max 8 (286,192,504 masks) is refused.
+# bitsets of 2^|E(S)| bits for each vertex set S that the current root's
+# subtrees span, and each subtree costs a few operations on them, so near the
+# cap it takes about 2 MB more memory and seconds, not minutes: K9 at r_max 6
+# (2,890,344 masks) 1.3-1.7 s, K7 at r_max 7 (2,350,594 masks, one set of
+# 2^21) 5-6 s, on a 2-core Xeon. K8 at r_max 8 (286,192,504 masks) is refused.
 MAX_SCHEME_MASKS = 1 << 22
 
 
@@ -243,9 +246,10 @@ def _closure_chords(adj, rank, depth, w, x):
     return out
 
 
-def _grow_trees(adj, rank, v, allowed, penrose_only):
+def _grow_trees(adj, rank, v, allowed, penrose_only, max_vertices=None):
     """Yield (tree edges, closure chords) of the subtrees rooted at v inside
-    ``allowed``; the empty tree, v alone, comes first.
+    ``allowed``, with at most ``max_vertices`` vertices when that is given;
+    the empty tree, v alone, comes first.
 
     v must be the order-least member of ``allowed``, so the root, and with it
     every depth and father, stays fixed as the tree grows. Candidate edges
@@ -259,9 +263,12 @@ def _grow_trees(adj, rank, v, allowed, penrose_only):
     tree: list[tuple[int, int]] = []
     chords: list[tuple[int, int]] = []
     steps = {x: [(x, y) for y in adj[x] if y in allowed] for x in allowed}
+    limit = len(allowed) if max_vertices is None else max_vertices
 
     def rec(cands):
         yield tuple(tree), tuple(chords)
+        if len(depth) >= limit:
+            return
         for i in range(len(cands)):
             x, w = cands[i]
             if w in depth:
@@ -454,75 +461,155 @@ def verify_partition_scheme(
     For every vertex subset R with 2 to r_max vertices, every connected
     spanning subset of the induced edge set E(R) must lie in the closure
     interval [T, closure(T)] of exactly one spanning tree T. Spanning means
-    covering the vertices that E(R) touches.
+    covering the vertices that E(R) touches, R's support S; E(R) = E(S).
 
-    Edge sets are bitmasks over E(R). Each spanning tree adds one hit to every
-    mask of its interval, and the connected spanning masks are exactly those
-    containing a spanning tree, found by closing the tree masks upward. The
-    scan holds two arrays of 2^|E(R)| entries per subset, so its size, the
-    sum of 2^|E(R)| over all subsets, is computed first and refused above
-    MAX_SCHEME_MASKS with EnumerationCapError. r_max below 2 checks nothing
-    and raises DomainError. The spanning trees are grown from the order-least
-    vertex of the support, each with the closure chords collected as it grew,
-    which are the free edges of its interval.
+    Every subtree with at most r_max vertices is grown once, from its
+    order-least vertex, with the closure chords collected as it grew, which
+    are the free edges of its interval. The subtrees of one root are checked
+    together, each folded into the bitsets of its vertex set S as it is
+    grown (see _IntervalScan); of each S only its count of connected
+    spanning edge sets and its first failure are kept. The subsets R are
+    then walked in order, adding up the counts of their supports; a support
+    no tree spans counts 0. The first failing subset's counterexample counts
+    the intervals holding its edge set by growing its support's trees again.
+
+    The scan's size, the sum of 2^|E(R)| over all subsets R, is refused above
+    MAX_SCHEME_MASKS with EnumerationCapError before any tree is grown. Each
+    subset adds at least 1, so a subset count above the cap is refused
+    without counting edges. r_max below 2 checks nothing and raises
+    DomainError.
     """
     if r_max < 2:
         raise DomainError(f"r_max must be at least 2, got {r_max}")
     ordering = _checked_ordering(g, ordering)
-
-    def induced_edge_sets():
-        for r in range(2, min(r_max, g.n) + 1):
-            for rs in map(frozenset, combinations(range(g.n), r)):
-                yield rs, sorted(e for e in g.edges if e[0] in rs and e[1] in rs)
-
-    size = sum(1 << len(er) for _, er in induced_edge_sets())
+    top = min(r_max, g.n)
+    size = sum(comb(g.n, r) for r in range(2, top + 1))
+    if size <= MAX_SCHEME_MASKS:
+        size = sum(1 << m for _, _, m in _subset_supports(g, top))
     if size > MAX_SCHEME_MASKS:
         raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
     adj = _sorted_adj(g)
+    rank = ordering.rank
+    checked = {}  # vertex bitmask S -> _IntervalScan.result()
+    for p, r in enumerate(ordering.order):
+        later = frozenset(ordering.order[p:])
+        scans: dict[int, _IntervalScan] = {}
+        for tree, chords in _grow_trees(adj, rank, r, later, False, top):
+            if tree:
+                s = 1 << r
+                for a, b in tree:
+                    s |= (1 << a) | (1 << b)
+                scan = scans.get(s)
+                if scan is None:
+                    scan = scans[s] = _IntervalScan(adj, s)
+                scan.add(tree, chords)
+        for s, scan in scans.items():
+            checked[s] = scan.result()
     subsets = edge_sets = 0
-    for rs, er in induced_edge_sets():
+    for rs, support, _ in _subset_supports(g, top):
         subsets += 1
-        if not er:
-            continue
-        bit = {e: 1 << i for i, e in enumerate(er)}
-        support = {x for e in er for x in e}
-        hits = [0] * (1 << len(er))
-        spans = bytearray(1 << len(er))
-        root = ordering.least(support)
-        for tree, chords in _grow_trees(adj, ordering.rank, root, support, False):
-            if len(tree) != len(support) - 1:
-                continue
-            t = sum(bit[e] for e in tree)
-            free = sum(bit[e] for e in chords)
-            spans[t] = 1
-            sub = free
-            while True:
-                hits[t | sub] += 1
-                if not sub:
-                    break
-                sub = (sub - 1) & free
-        for b in bit.values():
-            for mask in range(len(spans)):
-                if mask & b:
-                    spans[mask] |= spans[mask ^ b]
-        for mask in compress(range(len(spans)), spans):
-            edge_sets += 1
-            if hits[mask] != 1:
-                return SchemeReport(
-                    passed=False,
-                    subsets_checked=subsets,
-                    edge_sets_checked=edge_sets,
-                    counterexample=SchemeCounterexample(
-                        subset=rs,
-                        edge_set=frozenset(e for e in er if mask & bit[e]),
-                        containing_trees=hits[mask],
-                    ),
-                )
+        count, bad, before = checked.get(support, (0, None, 0))
+        if bad is not None:
+            return SchemeReport(
+                passed=False,
+                subsets_checked=subsets,
+                edge_sets_checked=edge_sets + before + 1,
+                counterexample=_counterexample(adj, rank, rs, support, bad),
+            )
+        edge_sets += count
     return SchemeReport(
         passed=True,
         subsets_checked=subsets,
         edge_sets_checked=edge_sets,
         counterexample=None,
+    )
+
+
+def _subset_supports(g: Graph, top: int):
+    """Yield (R, support bitmask, |E(R)|) for the vertex subsets R with 2 to
+    ``top`` vertices, by size and then in combinations order."""
+    bits = [1 << v for v in range(g.n)]
+    nbrs = [sum(map(bits.__getitem__, a)) for a in g.adj]
+    for r in range(2, top + 1):
+        for rs in combinations(range(g.n), r):
+            inside = sum(map(bits.__getitem__, rs))
+            support = ends = 0
+            for v in rs:
+                touched = nbrs[v] & inside
+                support |= touched
+                ends += touched.bit_count()
+            yield rs, support, ends >> 1
+
+
+class _IntervalScan:
+    """The interval partition check on the spanning trees of one vertex set.
+
+    Edge sets are masks over the set's induced edges in sorted order, and a
+    set of masks is a bitset with bit x for mask x. A tree's interval is its
+    mask shifted by every sum of its chord bits; ``once`` holds the masks hit
+    at least once and ``twice`` those hit again. Every hit mask contains a
+    tree, so the connected spanning masks are the upward closure of once, and
+    the scheme holds exactly when that closure equals once and twice is empty.
+    """
+
+    __slots__ = ("edges", "bit", "once", "twice")
+
+    def __init__(self, adj, s: int):
+        self.edges = [
+            (u, w)
+            for u in range(s.bit_length())
+            if s >> u & 1
+            for w in adj[u]
+            if w > u and s >> w & 1
+        ]
+        self.bit = {e: 1 << i for i, e in enumerate(self.edges)}
+        self.once = self.twice = 0
+
+    def interval(self, tree, chords) -> int:
+        bit = self.bit
+        iv = 1
+        for e in chords:
+            iv |= iv << bit[e]
+        return iv << sum(map(bit.__getitem__, tree))
+
+    def add(self, tree, chords) -> None:
+        iv = self.interval(tree, chords)
+        self.twice |= self.once & iv
+        self.once |= iv
+
+    def result(self) -> tuple[int, int | None, int]:
+        """(connected spanning masks, lowest bad mask or None, spanning
+        masks below it)."""
+        spans = self.once
+        size = 1 << len(self.edges)
+        for b in self.bit.values():
+            low, width = (1 << b) - 1, b << 1  # the masks without edge b
+            while width < size:
+                low |= low << width
+                width <<= 1
+            spans |= (spans & low) << b
+        bad = (spans ^ self.once) | self.twice
+        if not bad:
+            return spans.bit_count(), None, 0
+        x = (bad & -bad).bit_length() - 1
+        return spans.bit_count(), x, (spans & ((1 << x) - 1)).bit_count()
+
+
+def _counterexample(adj, rank, rs, s: int, x: int) -> SchemeCounterexample:
+    """The edge mask x over the vertex set s, with the number of spanning
+    trees of s whose intervals hold it; the trees are grown again."""
+    scan = _IntervalScan(adj, s)
+    vs = frozenset(v for v in range(s.bit_length()) if s >> v & 1)
+    root = min(vs, key=rank.__getitem__)
+    containing = sum(
+        scan.interval(tree, chords) >> x & 1
+        for tree, chords in _grow_trees(adj, rank, root, vs, False)
+        if len(tree) == len(vs) - 1
+    )
+    return SchemeCounterexample(
+        subset=frozenset(rs),
+        edge_set=frozenset(e for e in scan.edges if x & scan.bit[e]),
+        containing_trees=containing,
     )
 
 

@@ -223,6 +223,22 @@ def verify_partition_scheme_scan(
     )
 
 
+def spanning_tree_total(g: Graph, r_max: int) -> int:
+    """Sum over the vertex sets S with 2 to r_max vertices of the number of
+    spanning trees of G[S], found by testing every (|S|-1)-subset of the
+    induced edges; a disconnected S has none."""
+    total = 0
+    for r in range(2, min(r_max, g.n) + 1):
+        for s in combinations(range(g.n), r):
+            es = sorted(e for e in g.edges if e[0] in s and e[1] in s)
+            total += sum(
+                1
+                for cand in combinations(es, r - 1)
+                if is_tree_edge_set(cand) and len({x for e in cand for x in e}) == r
+            )
+    return total
+
+
 def count_admissible_subtrees(d: int, m: int, n_max: int) -> list[int]:
     """Counts of rooted slot-labeled subtrees by vertex number, enumerated
     explicitly.

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -269,6 +270,17 @@ class TestVerifyScheme:
         assert code == 2
         assert out == ""
         assert "286192504" in err and str(1 << 22) in err
+
+    def test_subset_count_above_cap_refused_at_once(self, tmp_path, capsys):
+        # C80 has 326,207,116 subsets of 2 to 6 vertices, each at least one
+        # mask; counting their edges first took minutes
+        path = gfile(tmp_path, "c80.txt", cycle_graph(80))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-scheme", path, "--max-enum", "80")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "326207116" in err and str(1 << 22) in err
 
     def test_rmax_below_two_exits_one(self, tmp_path, capsys):
         path = gfile(tmp_path, "k3.txt", complete_graph(3))

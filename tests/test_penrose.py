@@ -34,6 +34,7 @@ from chromadisk.corpus import (
     complete_graph,
     cycle_graph,
     diamond_graph,
+    disjoint_union,
     octahedron,
     path_graph,
     random_graph,
@@ -45,6 +46,7 @@ from oracles import (
     brute_force_penrose_trees_containing,
     brute_force_trees_containing,
     is_forest_edge_set,
+    spanning_tree_total,
     verify_partition_scheme_scan,
 )
 
@@ -445,7 +447,15 @@ class TestPartitionScheme:
 
 
 def _scheme_cases():
-    graphs = scheme_corpus() + [complete_graph(6), octahedron(), antiprism_graph(4)]
+    # the last three have subsets whose support is a smaller set or disconnected
+    graphs = scheme_corpus() + [
+        complete_graph(6),
+        octahedron(),
+        antiprism_graph(4),
+        disjoint_union(k3(), k3()),
+        disjoint_union(k3(), Graph(1, [])),
+        disjoint_union(path_graph(3), Graph(1, [])),
+    ]
     for i, g in enumerate(graphs):
         yield g, nat(g.n)
         yield g, VertexOrdering.from_order(random_ordering(g.n, 400 + i))
@@ -483,6 +493,24 @@ def test_each_penrose_tree_grown_once(monkeypatch, g, o):
         for r in range(1, g.n + 1)
         for s in combinations(range(g.n), r)
     )
+
+
+@pytest.mark.parametrize("g, o", list(_scheme_cases()))
+def test_each_subtree_grown_once_per_scheme_check(monkeypatch, g, o):
+    # every subtree of 2 to r_max vertices spans one vertex set S; the root
+    # alone, which each growth yields first, is not counted
+    grown = 0
+    grow = penrose._grow_trees
+
+    def counting(*args):
+        nonlocal grown
+        for tree, chords in grow(*args):
+            grown += bool(tree)
+            yield tree, chords
+
+    monkeypatch.setattr(penrose, "_grow_trees", counting)
+    assert verify_partition_scheme(g, o, r_max=6).passed
+    assert grown == spanning_tree_total(g, 6)
 
 
 class TestPartitionSchemeAgainstScan:
