@@ -7,9 +7,9 @@ classes, and the transfer keeps, for each such partition, the polynomial
 counting the colourings that induce it. Its cost follows from the order: the
 states at a step are at most the partitions of that step's frontier, whatever
 the labelling. This is the chromatic case of the frontier method (Sekine,
-Imai and Tani, ISAAC 1995; Bedini and Jacobsen, J. Phys. A 2010). Input
-graphs are remembered by their bitmask tuples, so a repeated input is
-answered before any of this starts.
+Imai and Tani, ISAAC 1995; Bedini and Jacobsen, J. Phys. A 2010). The
+transfer is memoised for the process by the input's adjacency bitmask
+tuple, so a repeated input is answered before any of this starts.
 
 Roots are found in the standard library alone: the integer roots 0, 1, ...
 are divided out exactly, and the cofactor's roots come from Aberth–Ehrlich
@@ -17,6 +17,7 @@ iteration in complex doubles.
 """
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -31,25 +32,6 @@ DEFAULT_ORACLE_CAP = 16
 # after ABERTH_MAX_SWEEPS sweeps; the seed-1 certify polynomials need at most 9.
 STOP_TOLERANCE = 8 * sys.float_info.epsilon
 ABERTH_MAX_SWEEPS = 100
-
-
-class ChromaticCache:
-    """Solved input graphs, keyed by their exact adjacency bitmask tuples.
-
-    A repeated input is answered at once and counts as a hit; any other
-    input, a relabelled copy included, is a miss and runs the transfer.
-    ``clear`` empties the table and zeroes the counters.
-    """
-
-    def __init__(self):
-        self._inputs: dict[tuple, IntPolynomial] = {}
-        self.hits = self.misses = 0
-
-    def clear(self):
-        self.__init__()
-
-
-_default_cache = ChromaticCache()
 
 
 def _order(adj) -> tuple[list[int], list[int]]:
@@ -85,6 +67,7 @@ def _order(adj) -> tuple[list[int], list[int]]:
     return order, leaves
 
 
+@functools.cache
 def _transfer(adj) -> IntPolynomial:
     """P_G(q) by a transfer over the processed vertices' frontier.
 
@@ -115,28 +98,20 @@ def _transfer(adj) -> IntPolynomial:
 
 
 def chromatic_deletion_contraction(
-    g: Graph, *, cache: ChromaticCache | None = None, max_vertices: int = DEFAULT_ORACLE_CAP
+    g: Graph, *, max_vertices: int = DEFAULT_ORACLE_CAP
 ) -> IntPolynomial:
     """Exact chromatic polynomial of g, by a frontier transfer.
 
     Refuses graphs above ``max_vertices`` (default 16); the transfer's cost
     grows with the number of partitions of its frontier, and this package
-    targets desk-scale instances. A graph equal to an earlier input, bitmask
-    for bitmask, is answered from the cache, so a shared ChromaticCache makes
-    repeated calls cheap.
+    targets desk-scale instances. ``_transfer`` is memoised for the process
+    by the exact adjacency bitmask tuple, so a repeated input is answered at
+    once, and a relabelled copy runs the transfer again;
+    ``_transfer.cache_info()`` counts the hits and misses.
     """
     if g.n > max_vertices:
         raise EnumerationCapError("deletion-contraction", g.n, max_vertices)
-    if cache is None:
-        cache = _default_cache
-    adj = adjacency_masks(g)
-    poly = cache._inputs.get(adj)
-    if poly is not None:
-        cache.hits += 1
-        return poly
-    cache.misses += 1
-    poly = cache._inputs[adj] = _transfer(adj)
-    return poly
+    return _transfer(adjacency_masks(g))
 
 
 def count_proper_colorings(g: Graph, q: int) -> int:

@@ -1,7 +1,10 @@
 """Graph generators and the fixed families the verification suites run over.
 
 Everything here is deterministic: random graphs take explicit seeds, and the
-named corpora are built the same way on every call.
+named corpora are built the same way on every call. ``iso_distinct`` keeps
+one graph per isomorphism class, bucketing by ``graphs.refinement_certificate``
+and deciding with ``graphs.isomorphic``; ``all_graphs_up_to_iso`` memoises
+its classes for the process.
 """
 
 import functools
@@ -10,11 +13,12 @@ from itertools import combinations
 
 from .graphs import (
     Graph,
-    IsomorphismTable,
     adjacency_masks,
     classify,
     components,
     is_claw_free,
+    isomorphic,
+    refinement_certificate,
 )
 
 
@@ -147,14 +151,21 @@ def random_ordering(n: int, seed: int) -> list[int]:
 
 
 def iso_distinct(graphs) -> list[Graph]:
-    """The first graph of each isomorphism class, in input order, found with a
-    ``graphs.IsomorphismTable``."""
-    table = IsomorphismTable()
+    """The first graph of each isomorphism class, in input order.
+
+    Graphs are bucketed by vertex count, edge count and refinement
+    certificate, which isomorphic graphs share, and ``isomorphic`` decides
+    each entry of a bucket, so a colliding certificate costs an isomorphism
+    test and never a wrong answer.
+    """
+    buckets: dict[tuple, list] = {}
     out = []
     for g in graphs:
-        seen, slot = table.find(adjacency_masks(g))
-        if seen is None:
-            table.add(slot, g)
+        adj = adjacency_masks(g)
+        certificate, labels = refinement_certificate(adj)
+        bucket = buckets.setdefault((g.n, g.m, certificate), [])
+        if not any(isomorphic(adj, labels, *seen) for seen in bucket):
+            bucket.append((adj, labels))
             out.append(g)
     return out
 

@@ -7,10 +7,9 @@ their cost grows with the number of vertices times the square of the maximum
 degree rather than with the number of vertex quadruples.
 
 The functions at the end work on adjacency bitmasks: connected components,
-a refinement certificate that isomorphic graphs share, an exact
-isomorphism test, and IsomorphismTable, which keeps one value per
-isomorphism class with the two. No other module refines or tests
-isomorphism itself.
+a refinement certificate that isomorphic graphs share, and an exact
+isomorphism test; ``corpus.iso_distinct`` buckets graphs with the two. No
+other module refines or tests isomorphism itself.
 """
 
 from dataclasses import dataclass
@@ -408,37 +407,3 @@ def isomorphic(adj1, labels1, adj2, labels2) -> bool:
         return False
 
     return extend(0, 0)
-
-
-class IsomorphismTable:
-    """One value per isomorphism class of graphs given as adjacency bitmasks.
-
-    Graphs are bucketed by vertex count, degree sum and refinement
-    certificate, which isomorphic graphs share, and ``isomorphic`` decides
-    each entry of a bucket, so a colliding certificate costs a probe and
-    never a wrong value. ``find`` refines its graph once and returns the
-    slot ``add`` files a value under; the bucket is looked up again when
-    the value is added, so work between the two calls may fill it. Values
-    must not be None. ``hits`` and ``misses`` count finds, ``probes`` the
-    isomorphism tests they ran.
-    """
-
-    def __init__(self):
-        self._buckets: dict[tuple, list] = {}
-        self.hits = self.misses = self.probes = 0
-
-    def find(self, adj):
-        """(value stored for a graph isomorphic to adj, None) or (None, slot)."""
-        certificate, labels = refinement_certificate(adj)
-        key = (len(adj), sum(a.bit_count() for a in adj), certificate)
-        for stored_adj, stored_labels, value in self._buckets.get(key, ()):
-            self.probes += 1
-            if isomorphic(adj, labels, stored_adj, stored_labels):
-                self.hits += 1
-                return value, None
-        self.misses += 1
-        return None, (key, adj, labels)
-
-    def add(self, slot, value):
-        key, adj, labels = slot
-        self._buckets.setdefault(key, []).append((adj, labels, value))

@@ -410,18 +410,18 @@ def chromatic_via_penrose(
     return forest_to_chromatic(penrose_polynomial(g, ordering, max_vertices), g.n)
 
 
-def forest_polynomial(g: Graph, *, cache=None) -> IntPolynomial:
+def forest_polynomial(g: Graph) -> IntPolynomial:
     """Forest-count polynomial, converted from the chromatic oracle's
     polynomial; the counts do not depend on the vertex order.
     ``penrose_polynomial`` counts the same forests directly."""
     # Read through the module, so that a wrapper on its attribute sees the call.
-    return chromatic_to_forest(chromatic.chromatic_deletion_contraction(g, cache=cache))
+    return chromatic_to_forest(chromatic.chromatic_deletion_contraction(g))
 
 
 RATIO_DENOMINATOR_RTOL = 1e-9
 
 
-def ratio_R(g: Graph, u: int, z: complex, *, cache=None) -> complex:
+def ratio_R(g: Graph, u: int, z: complex) -> complex:
     """F_V(z) / F_(V-u)(z) - 1 for the forest polynomials of g and g - u.
 
     Raises ConditioningError when the denominator is within 1e-9 of zero
@@ -429,8 +429,8 @@ def ratio_R(g: Graph, u: int, z: complex, *, cache=None) -> complex:
     """
     if not (0 <= u < g.n):
         raise ValueError(f"vertex {u} out of range")
-    f_all = forest_polynomial(g, cache=cache)
-    f_del = forest_polynomial(g.without_vertex(u), cache=cache)
+    f_all = forest_polynomial(g)
+    f_del = forest_polynomial(g.without_vertex(u))
     denom = f_del(complex(z))
     threshold = RATIO_DENOMINATOR_RTOL * f_del.eval_abs(abs(z))
     if abs(denom) <= threshold:

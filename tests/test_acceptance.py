@@ -105,7 +105,7 @@ def test_criterion_2_degenerate_pair_endpoint():
     assert x_err <= 1e-9
 
 
-def test_criterion_3_forest_count_identity(shared_cache):
+def test_criterion_3_forest_count_identity():
     t0 = time.perf_counter()
     bad = []
     graphs = [g for n in range(1, 6) for g in all_graphs_up_to_iso(n)]
@@ -114,7 +114,7 @@ def test_criterion_3_forest_count_identity(shared_cache):
     for i, g in enumerate(graphs):
         o = VertexOrdering.from_order(random_ordering(g.n, seed=5000 + i))
         via_forests = chromatic_via_penrose(g, o)
-        direct = chromatic_deletion_contraction(g, cache=shared_cache)
+        direct = chromatic_deletion_contraction(g)
         if via_forests != direct:
             bad.append((i, g))
     elapsed = time.perf_counter() - t0
@@ -283,7 +283,7 @@ def _disk_constants(g):
     return stats.delta, res
 
 
-def test_criterion_7_zero_free_certificate(shared_cache):
+def test_criterion_7_zero_free_certificate():
     corpus = certificate_corpus(12)
     assert all(classify(g).claw_free and g.max_degree() >= 3 for g in corpus)
 
@@ -294,7 +294,7 @@ def test_criterion_7_zero_free_certificate(shared_cache):
     for g in corpus:
         delta, res = _disk_constants(g)
         radius = res.disk_radius(delta)
-        p = chromatic_deletion_contraction(g, cache=shared_cache)
+        p = chromatic_deletion_contraction(g)
         for root in polynomial_roots(p):
             margin = radius - abs(root.value)
             assert margin > 10.0 * max(root.residual, 1e-15), (g, root)
@@ -308,9 +308,7 @@ def test_criterion_7_zero_free_certificate(shared_cache):
         delta, res = _disk_constants(g)
         for u in range(g.n):
             for z in _circle(res.z_star(delta)):
-                ratio_worst = max(
-                    ratio_worst, abs(ratio_R(g, u, z, cache=shared_cache)) - res.a_star
-                )
+                ratio_worst = max(ratio_worst, abs(ratio_R(g, u, z)) - res.a_star)
 
     # Deleting up to two more vertices inflates the forest sum by at most
     # (1 - a*)^-|A| on the same circle.
@@ -320,11 +318,11 @@ def test_criterion_7_zero_free_certificate(shared_cache):
         zs = _circle(res.z_star(delta))
         for u in range(g.n):
             rest = [v for v in range(g.n) if v != u]
-            f_rest = forest_polynomial(g.induced(rest), cache=shared_cache)
+            f_rest = forest_polynomial(g.induced(rest))
             removable = [()] + [(a,) for a in rest] + list(combinations(rest, 2))
             for dropped in removable:
                 keep = [v for v in rest if v not in dropped]
-                f_keep = forest_polynomial(g.induced(keep), cache=shared_cache)
+                f_keep = forest_polynomial(g.induced(keep))
                 bound = (1.0 - res.a_star) ** (-len(dropped))
                 for z in zs:
                     ratio = abs(f_keep(z) / f_rest(z))
@@ -334,7 +332,7 @@ def test_criterion_7_zero_free_certificate(shared_cache):
     vanish_bad = []
     for g in corpus:
         delta, res = _disk_constants(g)
-        f = forest_polynomial(g, cache=shared_cache)
+        f = forest_polynomial(g)
         for frac in (0.25, 0.5, 0.75, 1.0):
             r = frac * res.z_star(delta)
             floor = 1e-9 * f.eval_abs(r)

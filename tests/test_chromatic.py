@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromadisk import (
-    ChromaticCache,
     DomainError,
     EnumerationCapError,
     Graph,
@@ -38,6 +37,18 @@ from chromadisk.corpus import (
 
 def _circulant(n, steps):
     return Graph(n, {tuple(sorted((i, (i + j) % n))) for i in range(n) for j in steps})
+
+
+def _fresh(g, **kwargs):
+    """The oracle's answer with the process memo cleared first, so the
+    transfer runs."""
+    chromatic._transfer.cache_clear()
+    return chromatic_deletion_contraction(g, **kwargs)
+
+
+def _memo():
+    info = chromatic._transfer.cache_info()
+    return info.hits, info.misses
 
 
 class TestClosedForms:
@@ -115,7 +126,7 @@ class TestAgainstColoringCounts:
             self._fan(5),
         ]
         for g in graphs:
-            p = chromatic_deletion_contraction(g, cache=ChromaticCache())
+            p = _fresh(g)
             assert [p(q) for q in range(g.n + 1)] == [
                 count_proper_colorings(g, q) for q in range(g.n + 1)
             ]
@@ -123,22 +134,20 @@ class TestAgainstColoringCounts:
     def test_graphs_without_simplicial_vertices(self):
         qm1 = IntPolynomial((-1, 1))
         for n in (4, 5, 8):
-            assert chromatic_deletion_contraction(cycle_graph(n), cache=ChromaticCache()) == (
-                qm1 ** n + qm1.scale((-1) ** n)
-            )
+            assert _fresh(cycle_graph(n)) == qm1 ** n + qm1.scale((-1) ** n)
         for g in (octahedron(), icosahedron()):
-            p = chromatic_deletion_contraction(g, cache=ChromaticCache())
+            p = _fresh(g)
             assert [p(q) for q in range(5)] == [count_proper_colorings(g, q) for q in range(5)]
 
     def test_dense_graph_at_the_default_cap(self):
         g = random_graph(16, 0.6, seed=0)
-        p = chromatic_deletion_contraction(g, cache=ChromaticCache())
+        p = _fresh(g)
         assert p(5) == 3600
         assert [p(q) for q in range(6)] == [count_proper_colorings(g, q) for q in range(6)]
 
     def test_circulant_past_the_default_cap(self):
         g = _circulant(40, (1, 2, 3))
-        p = chromatic_deletion_contraction(g, cache=ChromaticCache(), max_vertices=40)
+        p = _fresh(g, max_vertices=40)
         assert p(4) == 24
         assert [p(q) for q in range(5)] == [count_proper_colorings(g, q) for q in range(5)]
 
@@ -150,39 +159,39 @@ class TestCacheAndInvariance:
         assert chromatic_deletion_contraction(g.relabel(perm)) == chromatic_deletion_contraction(g)
 
     def test_shared_cache_reuses_minors(self):
-        # every g - v once, then again: the second round is answered from the cache
-        cache = ChromaticCache()
+        # every g - v once, then again: the second round is answered from the memo
+        chromatic._transfer.cache_clear()
         g = random_graph(8, 0.5, seed=7)
         minors = [g.without_vertex(v) for v in range(g.n)]
-        first = [chromatic_deletion_contraction(h, cache=cache) for h in minors]
+        first = [chromatic_deletion_contraction(h) for h in minors]
         distinct = len({adjacency_masks(h) for h in minors})
-        assert (cache.hits, cache.misses) == (len(minors) - distinct, distinct)
-        again = [chromatic_deletion_contraction(h, cache=cache) for h in minors]
+        assert _memo() == (len(minors) - distinct, distinct)
+        again = [chromatic_deletion_contraction(h) for h in minors]
         assert again == first
-        assert (cache.hits, cache.misses) == (2 * len(minors) - distinct, distinct)
+        assert _memo() == (2 * len(minors) - distinct, distinct)
 
     def test_cache_clear(self):
-        cache = ChromaticCache()
+        chromatic._transfer.cache_clear()
         g = random_graph(6, 0.5, seed=5)
-        chromatic_deletion_contraction(g, cache=cache)
-        chromatic_deletion_contraction(g, cache=cache)
-        cache.clear()
-        assert cache.hits == 0 and cache.misses == 0
-        chromatic_deletion_contraction(g, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
+        chromatic_deletion_contraction(g)
+        chromatic_deletion_contraction(g)
+        chromatic._transfer.cache_clear()
+        assert _memo() == (0, 0)
+        chromatic_deletion_contraction(g)
+        assert _memo() == (0, 1)
 
     def test_repeated_input_is_one_hit(self):
-        cache = ChromaticCache()
+        chromatic._transfer.cache_clear()
         g = octahedron()
-        first = chromatic_deletion_contraction(g, cache=cache)
-        assert (cache.hits, cache.misses) == (0, 1)
-        again = chromatic_deletion_contraction(Graph(g.n, sorted(g.edges)), cache=cache)
+        first = chromatic_deletion_contraction(g)
+        assert _memo() == (0, 1)
+        again = chromatic_deletion_contraction(Graph(g.n, sorted(g.edges)))
         assert again == first
-        assert (cache.hits, cache.misses) == (1, 1)
+        assert _memo() == (1, 1)
 
 
 class TestMemoKey:
-    # The cache is keyed by the exact adjacency bitmasks of the input.
+    # The memo is keyed by the exact adjacency bitmasks of the input.
     @pytest.mark.parametrize(
         "g",
         [
@@ -194,35 +203,42 @@ class TestMemoKey:
         ids=["L(K5)", "icosahedron", "C12(1,2)", "L(K6)"],
     )
     def test_relabelled_input_is_a_miss(self, g):
-        cache = ChromaticCache()
-        p = chromatic_deletion_contraction(g, cache=cache)
+        chromatic._transfer.cache_clear()
+        p = chromatic_deletion_contraction(g)
         h = g.relabel(random.Random(g.n).sample(range(g.n), g.n))
         assert adjacency_masks(h) != adjacency_masks(g)
-        assert chromatic_deletion_contraction(h, cache=cache) == p
-        assert (cache.hits, cache.misses) == (0, 2)
+        assert chromatic_deletion_contraction(h) == p
+        assert _memo() == (0, 2)
 
     @pytest.mark.parametrize("labels", ["constant", "refined"])
     def test_colliding_certificates_stay_exact(self, monkeypatch, labels):
-        # refinement certificates play no part in the key
+        # Refinement certificates play no part in the key: the oracle must not
+        # consult them, whether they collide for every graph ("constant") or
+        # are the real ones ("refined"). The stub records each call, so a
+        # certificate-keyed memo fails here instead of passing unseen.
+        calls = []
+
+        def certificate(adj):
+            calls.append(adj)
+            return 0, ((0,) * len(adj) if labels == "constant" else refinement_certificate(adj)[1])
+
+        monkeypatch.setattr("chromadisk.graphs.refinement_certificate", certificate)
+        monkeypatch.setattr(chromatic, "refinement_certificate", certificate, raising=False)
         graphs = random_graph_batch() + scheme_corpus() + [
             octahedron(),
             wheel_graph(5),
             antiprism_graph(4),
             line_graph(complete_graph(4)),
         ]
-        want = [chromatic_deletion_contraction(g, cache=ChromaticCache()) for g in graphs]
-
-        def collide(adj):
-            return 0, ((0,) * len(adj) if labels == "constant" else refinement_certificate(adj)[1])
-
-        monkeypatch.setattr("chromadisk.graphs.refinement_certificate", collide)
-        cache = ChromaticCache()
+        want = [_fresh(g) for g in graphs]
+        chromatic._transfer.cache_clear()
         for g, p in zip(graphs, want):
-            got = chromatic_deletion_contraction(g, cache=cache)
+            got = chromatic_deletion_contraction(g)
             assert got == p
             assert [got(q) for q in range(5)] == [count_proper_colorings(g, q) for q in range(5)]
         distinct = len({adjacency_masks(g) for g in graphs})
-        assert (cache.hits, cache.misses) == (len(graphs) - distinct, distinct)
+        assert _memo() == (len(graphs) - distinct, distinct)
+        assert calls == []
 
 
 class TestCap:

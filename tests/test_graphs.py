@@ -24,7 +24,6 @@ from chromadisk import (
 )
 from chromadisk.graphs import (
     MAX_VERTICES,
-    IsomorphismTable,
     adjacency_masks,
     components,
     isomorphic,
@@ -335,6 +334,18 @@ class TestInvariants:
                 assert is_claw_free(g) == neighborhood_complement_claw_free(g)
 
 
+def _record_isomorphism_tests(monkeypatch):
+    """The answer of every isomorphism test iso_distinct runs, in order."""
+    answers = []
+
+    def recorded(*args):
+        answers.append(isomorphic(*args))
+        return answers[-1]
+
+    monkeypatch.setattr("chromadisk.corpus.isomorphic", recorded)
+    return answers
+
+
 class TestIsomorphism:
     @given(st.integers(min_value=0, max_value=10_000), st.permutations(list(range(7))))
     @settings(max_examples=60, deadline=None)
@@ -372,31 +383,14 @@ class TestIsomorphism:
         labels = refinement_certificate(adjacency_masks(path_graph(11)))[1]
         assert labels == (0, 1, 2, 3, 4, 5, 4, 3, 2, 1, 0)
 
-    def test_table_keeps_one_value_per_class(self):
+    def test_table_keeps_one_value_per_class(self, monkeypatch):
         # C6 and 2K3 share a certificate, so they share a bucket
-        hexagon = adjacency_masks(cycle_graph(6))
-        shuffled = adjacency_masks(cycle_graph(6).relabel([3, 5, 1, 0, 2, 4]))
-        triangles = adjacency_masks(disjoint_union(complete_graph(3), complete_graph(3)))
-        table = IsomorphismTable()
-        value, slot = table.find(hexagon)
-        assert value is None and table.probes == 0
-        table.add(slot, "C6")
-        assert table.find(shuffled) == ("C6", None)
-        probes = table.probes
-        value, slot = table.find(triangles)
-        assert value is None and table.probes == probes + 1
-        assert (table.hits, table.misses) == (1, 2)
-
-    def test_table_add_sees_entries_added_since_find(self):
-        # a miss's slot is filed after other work may have filled its bucket
-        hexagon = adjacency_masks(cycle_graph(6))
-        triangles = adjacency_masks(disjoint_union(complete_graph(3), complete_graph(3)))
-        table = IsomorphismTable()
-        hex_slot = table.find(hexagon)[1]
-        table.add(table.find(triangles)[1], "2K3")
-        table.add(hex_slot, "C6")
-        assert table.find(triangles)[0] == "2K3"
-        assert table.find(hexagon)[0] == "C6"
+        hexagon = cycle_graph(6)
+        shuffled = cycle_graph(6).relabel([3, 5, 1, 0, 2, 4])
+        triangles = disjoint_union(complete_graph(3), complete_graph(3))
+        answers = _record_isomorphism_tests(monkeypatch)
+        assert iso_distinct([hexagon, shuffled, triangles]) == [hexagon, triangles]
+        assert answers == [True, False]
 
     def test_components(self):
         g = disjoint_union(cycle_graph(4), Graph(3, [(0, 2)]))
@@ -408,8 +402,9 @@ class TestIsomorphism:
         # isomorphic() alone tells the classes of a bucket apart
         if certificates == "colliding":
             monkeypatch.setattr(
-                "chromadisk.graphs.refinement_certificate", lambda adj: (0, (0,) * len(adj))
+                "chromadisk.corpus.refinement_certificate", lambda adj: (0, (0,) * len(adj))
             )
+        answers = _record_isomorphism_tests(monkeypatch)
         labelled = []
         for n in range(1, 6):
             pairs = list(combinations(range(n), 2))
@@ -418,6 +413,9 @@ class TestIsomorphism:
                 for mask in range(1 << len(pairs))
             ]
         assert len(iso_distinct(labelled)) == 52
+        # refinement tells apart every two graphs on at most five vertices, so
+        # only colliding certificates put two classes in one bucket
+        assert (False in answers) == (certificates == "colliding")
 
     def test_all_graphs_result_is_not_the_stored_list(self):
         first = all_graphs_up_to_iso(3)
