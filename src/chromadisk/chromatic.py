@@ -110,7 +110,7 @@ def chromatic_deletion_contraction(
     ``_transfer.cache_info()`` counts the hits and misses.
     """
     if g.n > max_vertices:
-        raise EnumerationCapError("deletion-contraction", g.n, max_vertices)
+        raise EnumerationCapError("chromatic oracle", g.n, max_vertices)
     return _transfer(adjacency_masks(g))
 
 

@@ -12,16 +12,21 @@ vertex set).
 Every enumeration grows trees from a fixed root, the order-least vertex it may
 use, so a vertex's depth and father never change once it is attached and the
 chords it closes are known then. One rule, ``_closure_chords``, lists them; it
-serves ``penrose_closure`` too. Growth that skips attachments adding a chord
-yields the Penrose trees; growth that keeps them yields every subtree with its
-chords, for the partition-scheme verifier. Forest counting grows each Penrose
-tree once, tallies the trees on each vertex set and sums over set partitions;
-the alternating evaluation of the count is the chromatic polynomial.
+serves ``penrose_closure`` too. One walk, ``_grow_trees``, grows the trees and
+streams each with its vertex bitmask; the edge and chord lists it yields are
+its own live lists, so a caller copies what it keeps. Growth that skips
+attachments adding a chord yields the Penrose trees; growth that keeps them
+yields every subtree with its chords, for the partition-scheme verifier.
+Forest counting grows each Penrose tree once, tallies the trees on each vertex
+bitmask and sums over set partitions; the alternating evaluation of the count
+is the chromatic polynomial.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from . import chromatic
 from .errors import ConditioningError, ContractViolationError, DomainError, EnumerationCapError
@@ -35,8 +40,9 @@ DEFAULT_FOREST_CAP = 12
 # bitsets of 2^|E(S)| bits for each vertex set S that the current root's
 # subtrees span, and each subtree costs a few operations on them, so near the
 # cap it takes about 2 MB more memory and seconds, not minutes: K9 at r_max 6
-# (2,890,344 masks) 1.3-1.7 s, K7 at r_max 7 (2,350,594 masks, one set of
-# 2^21) 5-6 s, on a 2-core Xeon. K8 at r_max 8 (286,192,504 masks) is refused.
+# (2,890,344 masks) 0.8-1.2 s, K7 at r_max 7 (2,350,594 masks, one set of
+# 2^21) 3.5-5.7 s, on a 2-core Xeon. K8 at r_max 8 (286,192,504 masks) is
+# refused.
 MAX_SCHEME_MASKS = 1 << 22
 
 
@@ -247,9 +253,13 @@ def _closure_chords(adj, rank, depth, w, x):
 
 
 def _grow_trees(adj, rank, v, allowed, penrose_only, max_vertices=None):
-    """Yield (tree edges, closure chords) of the subtrees rooted at v inside
-    ``allowed``, with at most ``max_vertices`` vertices when that is given;
-    the empty tree, v alone, comes first.
+    """Yield (S, tree edges, closure chords) for the subtrees rooted at v
+    inside ``allowed``, with at most ``max_vertices`` vertices when that is
+    given; S is the tree's vertex bitmask, and the empty tree, v alone, comes
+    first.
+
+    The edge and chord lists are the walk's own, changed in place as it goes
+    on, so a caller copies what it keeps past the next step.
 
     v must be the order-least member of ``allowed``, so the root, and with it
     every depth and father, stays fixed as the tree grows. Candidate edges
@@ -258,44 +268,60 @@ def _grow_trees(adj, rank, v, allowed, penrose_only, max_vertices=None):
     joins are all the chords it closes, and final. With ``penrose_only`` an
     attachment that adds a chord is skipped, which leaves exactly the Penrose
     trees, since later growth never removes a chord.
+
+    One generator frame walks the trees depth first over an explicit stack.
+    A stack entry is [candidates, next index, vertex added, chords added].
     """
+    chords_of = _closure_chords  # read once per walk, through the module
     depth = {v: 0}
     tree: list[tuple[int, int]] = []
     chords: list[tuple[int, int]] = []
     steps = {x: [(x, y) for y in adj[x] if y in allowed] for x in allowed}
     limit = len(allowed) if max_vertices is None else max_vertices
-
-    def rec(cands):
-        yield tuple(tree), tuple(chords)
-        if len(depth) >= limit:
-            return
-        for i in range(len(cands)):
+    s = 1 << v
+    yield s, tree, chords
+    stack = [[steps[v] if limit > 1 else (), 0, v, 0]]
+    while stack:
+        frame = stack[-1]
+        cands, i = frame[0], frame[1]
+        end = len(cands)
+        while i < end:
             x, w = cands[i]
+            i += 1
             if w in depth:
                 continue
-            new = _closure_chords(adj, rank, depth, w, x)
-            if new:
-                if penrose_only:
-                    continue
-                chords.extend(new)
-            depth[w] = depth[x] + 1
-            tree.append((x, w) if x < w else (w, x))
-            yield from rec(cands[i + 1 :] + steps[w])
-            if new:
-                del chords[-len(new) :]
-            tree.pop()
-            del depth[w]
-
-    yield from rec(steps[v])
+            new = chords_of(adj, rank, depth, w, x)
+            if new and penrose_only:
+                continue
+            break
+        else:
+            # every candidate tried: take back the vertex this frame added
+            stack.pop()
+            if stack:
+                w, k = frame[2], frame[3]
+                del depth[w]
+                tree.pop()
+                if k:
+                    del chords[-k:]
+                s ^= 1 << w
+            continue
+        frame[1] = i
+        depth[w] = depth[x] + 1
+        tree.append((x, w) if x < w else (w, x))
+        if new:
+            chords.extend(new)
+        s |= 1 << w
+        yield s, tree, chords
+        stack.append([cands[i:] + steps[w] if len(depth) < limit else (), 0, w, len(new)])
 
 
 def _penrose_trees(adj, rank, roots, allowed):
-    """Yield (root, tree edges) of each Penrose tree inside ``allowed`` whose
-    root, its order-least vertex, is in ``roots``; each comes once."""
+    """Yield (S, tree edges, chords) as ``_grow_trees`` does, for each Penrose
+    tree inside ``allowed`` whose root, its order-least vertex, is in
+    ``roots``; each comes once, and the chord list stays empty."""
     for r in roots:
         later = frozenset(w for w in allowed if rank[w] >= rank[r])
-        for tree, _ in _grow_trees(adj, rank, r, later, True):
-            yield r, tree
+        yield from _grow_trees(adj, rank, r, later, True)
 
 
 def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed=None):
@@ -312,8 +338,8 @@ def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed
     roots = [r for r in ordering.order[: ordering.rank[v] + 1] if r in allowed]
     return (
         frozenset(tree)
-        for r, tree in _penrose_trees(_sorted_adj(g), ordering.rank, roots, allowed)
-        if r == v or any(v in e for e in tree)
+        for s, tree, _ in _penrose_trees(_sorted_adj(g), ordering.rank, roots, allowed)
+        if s >> v & 1
     )
 
 
@@ -339,7 +365,7 @@ def enumerate_penrose_forests(
             return
         v = min(avail, key=rank.__getitem__)
         yield from rec(avail - {v}, acc)
-        for tree, _ in _grow_trees(adj, rank, v, avail, True):
+        for _, tree, _ in _grow_trees(adj, rank, v, avail, True):
             if tree:
                 yield from rec(avail.difference(*tree), acc + [frozenset(tree)])
 
@@ -359,13 +385,10 @@ def penrose_polynomial(
     if g.n > max_vertices:
         raise EnumerationCapError("penrose forest count", g.n, max_vertices)
     ordering = _checked_ordering(g, ordering)
+    trees = _penrose_trees(_sorted_adj(g), ordering.rank, ordering.order, range(g.n))
     tally: dict[int, dict[int, int]] = {}  # lowest vertex bit -> {S: t(S)}
-    for r, tree in _penrose_trees(_sorted_adj(g), ordering.rank, ordering.order, range(g.n)):
-        s = 1 << r
-        for a, b in tree:
-            s |= (1 << a) | (1 << b)
-        ts = tally.setdefault(s & -s, {})
-        ts[s] = ts.get(s, 0) + 1
+    for s, t in Counter(map(itemgetter(0), trees)).items():
+        tally.setdefault(s & -s, {})[s] = t
     memo = {0: [1]}
 
     def count(avail: int) -> list[int]:
@@ -474,31 +497,33 @@ def verify_partition_scheme(
     the intervals holding its edge set by growing its support's trees again.
 
     The scan's size, the sum of 2^|E(R)| over all subsets R, is refused above
-    MAX_SCHEME_MASKS with EnumerationCapError before any tree is grown. Each
-    subset adds at least 1, so a subset count above the cap is refused
-    without counting edges. r_max below 2 checks nothing and raises
-    DomainError.
+    MAX_SCHEME_MASKS with EnumerationCapError before any tree is grown. A
+    bound comes first: an r-subset has at most min(C(r, 2), m) edges, so when
+    the sum of C(n, r) 2^min(C(r, 2), m) is within the cap the subsets are
+    walked once, by the check itself. Otherwise the size is counted exactly,
+    in one more walk, unless the subset count alone is already above the cap,
+    since each subset adds at least 1. r_max below 2 checks nothing and
+    raises DomainError.
     """
     if r_max < 2:
         raise DomainError(f"r_max must be at least 2, got {r_max}")
     ordering = _checked_ordering(g, ordering)
     top = min(r_max, g.n)
-    size = sum(comb(g.n, r) for r in range(2, top + 1))
-    if size <= MAX_SCHEME_MASKS:
-        size = sum(1 << m for _, _, m in _subset_supports(g, top))
-    if size > MAX_SCHEME_MASKS:
-        raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
+    sizes = range(2, top + 1)
+    if sum(comb(g.n, r) << min(comb(r, 2), g.m) for r in sizes) > MAX_SCHEME_MASKS:
+        size = sum(comb(g.n, r) for r in sizes)
+        if size <= MAX_SCHEME_MASKS:
+            size = sum(1 << m for _, _, m in _subset_supports(g, top))
+        if size > MAX_SCHEME_MASKS:
+            raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
     adj = _sorted_adj(g)
     rank = ordering.rank
     checked = {}  # vertex bitmask S -> _IntervalScan.result()
     for p, r in enumerate(ordering.order):
         later = frozenset(ordering.order[p:])
         scans: dict[int, _IntervalScan] = {}
-        for tree, chords in _grow_trees(adj, rank, r, later, False, top):
+        for s, tree, chords in _grow_trees(adj, rank, r, later, False, top):
             if tree:
-                s = 1 << r
-                for a, b in tree:
-                    s |= (1 << a) | (1 << b)
                 scan = scans.get(s)
                 if scan is None:
                     scan = scans[s] = _IntervalScan(adj, s)
@@ -603,7 +628,7 @@ def _counterexample(adj, rank, rs, s: int, x: int) -> SchemeCounterexample:
     root = min(vs, key=rank.__getitem__)
     containing = sum(
         scan.interval(tree, chords) >> x & 1
-        for tree, chords in _grow_trees(adj, rank, root, vs, False)
+        for _, tree, chords in _grow_trees(adj, rank, root, vs, False)
         if len(tree) == len(vs) - 1
     )
     return SchemeCounterexample(

@@ -322,6 +322,12 @@ class TestRoots:
         assert code == 2
         assert "error:" in err
 
+    def test_oracle_refusal_names_the_oracle(self, tmp_path, capsys):
+        path = gfile(tmp_path, "k17.txt", complete_graph(17))
+        code, out, err = run(capsys, "roots", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: chromatic oracle: size 17 exceeds cap 16\n"
 
     def test_float_overflow_exits_one(self, tmp_path, capsys):
         # K171's coefficients pass 2**1024

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -303,6 +305,21 @@ class TestTreesContaining:
         penrose_brute = {t for t in brute if not t or is_penrose_tree(g, o, t)}
         assert set(got) == penrose_brute
 
+    def test_streams_trees(self):
+        # K8 has 13,700 Penrose trees rooted at 0; keeping them all as tuples
+        # peaks near 2.8 MB, streaming them at a few KB
+        g = complete_graph(8)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in penrose_trees_containing(g, nat(8), 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert count == 13700
+        assert peak < 256 * 1024
+
     def test_v_must_be_allowed(self):
         with pytest.raises(ContractViolationError):
             penrose_trees_containing(k3(), nat(3), 0, allowed={1, 2})
@@ -504,13 +521,44 @@ def test_each_subtree_grown_once_per_scheme_check(monkeypatch, g, o):
 
     def counting(*args):
         nonlocal grown
-        for tree, chords in grow(*args):
+        for s, tree, chords in grow(*args):
             grown += bool(tree)
-            yield tree, chords
+            yield s, tree, chords
 
     monkeypatch.setattr(penrose, "_grow_trees", counting)
     assert verify_partition_scheme(g, o, r_max=6).passed
     assert grown == spanning_tree_total(g, 6)
+
+
+@pytest.mark.parametrize("max_vertices", [None, 1, 2, 6])
+@pytest.mark.parametrize("penrose_only", [True, False], ids=["penrose", "all"])
+def test_walk_yields_vertex_bitmask(penrose_only, max_vertices):
+    for g, o in _scheme_cases():
+        adj = penrose._sorted_adj(g)
+        for p, r in enumerate(o.order):
+            later = frozenset(o.order[p:])
+            for s, tree, _ in penrose._grow_trees(adj, o.rank, r, later, penrose_only, max_vertices):
+                assert s == (1 << r) | sum({1 << x for e in tree for x in e})
+                assert max_vertices is None or len(tree) < max_vertices
+
+
+@pytest.mark.parametrize(
+    "g, passes", [(complete_graph(6), 1), (path_graph(30), 2)], ids=["K6", "P30"]
+)
+def test_subset_walks_per_scheme_check(monkeypatch, g, passes):
+    # K6's bound on the scan size is within the cap, so only the check walks
+    # the subsets; P30's is not, so its size is counted first
+    walks = 0
+    supports = penrose._subset_supports
+
+    def counting(*args):
+        nonlocal walks
+        walks += 1
+        return supports(*args)
+
+    monkeypatch.setattr(penrose, "_subset_supports", counting)
+    assert verify_partition_scheme(g, r_max=6).passed
+    assert walks == passes
 
 
 class TestPartitionSchemeAgainstScan:
