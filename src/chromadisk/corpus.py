@@ -56,9 +56,9 @@ def square_graph() -> Graph:
     return cycle_graph(4)
 
 
-def chorded_cycle(n: int, chord=(0, 2)) -> Graph:
-    g = cycle_graph(n)
-    return Graph(n, set(g.edges) | {tuple(sorted(chord))})
+def chorded_cycle(n: int) -> Graph:
+    """The n-cycle with the chord {0, 2}."""
+    return Graph(n, [*cycle_graph(n).edges, (0, 2)])
 
 
 def prism_graph() -> Graph:
@@ -215,8 +215,8 @@ def scheme_corpus() -> list[Graph]:
     ]
 
 
-def claw_free_corpus(max_vertices: int = 8) -> list[Graph]:
-    """Claw-free graphs for the merge-obstruction checks."""
+def claw_free_corpus() -> list[Graph]:
+    """Claw-free graphs on at most 8 vertices for the merge-obstruction checks."""
     cands = [
         complete_graph(3),
         complete_graph(4),
@@ -233,9 +233,8 @@ def claw_free_corpus(max_vertices: int = 8) -> list[Graph]:
         octahedron(),
         prism_graph(),
     ]
-    cands += connected_line_graph_family(max_line_vertices=max_vertices)
-    out = [g for g in cands if g.n <= max_vertices and is_claw_free(g)]
-    return iso_distinct(out)
+    cands += connected_line_graph_family(max_line_vertices=8)
+    return iso_distinct([g for g in cands if is_claw_free(g)])
 
 
 def connected_line_graph_family(max_line_vertices: int = 8) -> list[Graph]:
@@ -248,8 +247,8 @@ def connected_line_graph_family(max_line_vertices: int = 8) -> list[Graph]:
     return [g for g in out if 1 <= g.n <= max_line_vertices]
 
 
-def g1_corpus(max_vertices: int = 8) -> list[Graph]:
-    """Claw-free, square-free, diamond-free graphs."""
+def g1_corpus() -> list[Graph]:
+    """Claw-free, square-free, diamond-free graphs on at most 8 vertices."""
     cands = [
         complete_graph(2),
         complete_graph(3),
@@ -264,18 +263,14 @@ def g1_corpus(max_vertices: int = 8) -> list[Graph]:
         cycle_graph(7),
         cycle_graph(8),
         chorded_cycle(7),
-        chorded_cycle(8, chord=(0, 2)),
+        chorded_cycle(8),
     ]
-    out = [
-        g
-        for g in cands
-        if g.n <= max_vertices and classify(g).class_index == 1
-    ]
-    return iso_distinct(out)
+    return iso_distinct([g for g in cands if classify(g).class_index == 1])
 
 
-def certificate_corpus(max_vertices: int = 12, include_largest: bool = True) -> list[Graph]:
-    """Claw-free graphs with max degree >= 3 for the zero-free disk checks."""
+def certificate_corpus() -> list[Graph]:
+    """Claw-free graphs on at most 12 vertices with max degree >= 3 for the
+    zero-free disk checks."""
     cands = [
         complete_graph(4),
         complete_graph(5),
@@ -292,23 +287,17 @@ def certificate_corpus(max_vertices: int = 12, include_largest: bool = True) -> 
         line_graph(random_connected_graph(6, 2, seed=17)),
         line_graph(random_connected_graph(7, 1, seed=29)),
     ]
-    cands += connected_line_graph_family(max_line_vertices=max_vertices)
-    if include_largest:
-        cands.append(icosahedron())
-    out = [
-        g
-        for g in cands
-        if g.n <= max_vertices and g.max_degree() >= 3 and is_claw_free(g)
-    ]
-    return iso_distinct(out)
+    cands += connected_line_graph_family(max_line_vertices=12)
+    cands.append(icosahedron())
+    return iso_distinct([g for g in cands if g.max_degree() >= 3 and is_claw_free(g)])
 
 
-def random_graph_batch(count: int = 200, sizes=(6, 7, 8), base_seed: int = 1000) -> list[Graph]:
+def random_graph_batch(count: int = 200, sizes=(6, 7, 8)) -> list[Graph]:
     """Seeded random graphs cycling through the given sizes and densities."""
     densities = (0.3, 0.5, 0.7)
     out = []
     for i in range(count):
         n = sizes[i % len(sizes)]
         p = densities[(i // len(sizes)) % len(densities)]
-        out.append(random_graph(n, p, seed=base_seed + i))
+        out.append(random_graph(n, p, seed=1000 + i))
     return out

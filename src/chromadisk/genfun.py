@@ -4,15 +4,15 @@ The counts here majorize the number of Penrose trees through a fixed vertex:
 a tree is grown with at most two children per vertex, each child drawn from d
 slots, and each unordered pair of sibling slots taken from a fixed admissible
 set of size m. The ordinary generating function solves u = y (1 + d u + m u^2)
-and has the explicit square-root form evaluated below.
+and has the explicit square-root form evaluated below. The module holds the
+closed forms only; the enumerated series they bound is
+``penrose.penrose_tree_series``.
 """
 
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, EnumerationCapError
-from .graphs import Graph
-from .penrose import DEFAULT_FOREST_CAP, VertexOrdering, penrose_trees_containing
+from .errors import DomainError
 
 _SQRT_SLACK = 1e-14
 
@@ -125,31 +125,3 @@ def envelope_bound(x: float) -> float:
         raise DomainError(f"x must be in [0, 0.5], got {x}")
     s = _safe_sqrt(1.0 - 2.0 * x)
     return 4.0 / ((1.0 + s) ** 2)
-
-
-def penrose_tree_series(
-    g: Graph,
-    ordering: VertexOrdering,
-    v: int,
-    allowed=None,
-    max_vertices: int = DEFAULT_FOREST_CAP,
-) -> tuple[int, ...]:
-    """Counts of Penrose trees through v, indexed by edge count.
-
-    Entry k is the number of Penrose trees whose vertex set contains v and
-    that use k edges; entry 0 is 1 for the bare vertex. The weighted sum of
-    entry k times y^k is the quantity the closed-form bounds dominate.
-    Enumeration over more than ``max_vertices`` usable vertices is refused.
-    """
-    # Called before the cap so that a stray vertex is reported, not counted.
-    trees = penrose_trees_containing(g, ordering, v, allowed=allowed)
-    usable = g.n if allowed is None else len(frozenset(allowed))
-    if usable > max_vertices:
-        raise EnumerationCapError("penrose tree enumeration", usable, max_vertices)
-    counts: list[int] = []
-    for tree in trees:
-        k = len(tree)
-        if len(counts) <= k:
-            counts.extend([0] * (k + 1 - len(counts)))
-        counts[k] += 1
-    return tuple(counts)

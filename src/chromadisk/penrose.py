@@ -12,14 +12,18 @@ vertex set).
 Every enumeration grows trees from a fixed root, the order-least vertex it may
 use, so a vertex's depth and father never change once it is attached and the
 chords it closes are known then. One rule, ``_closure_chords``, lists them; it
-serves ``penrose_closure`` too. One walk, ``_grow_trees``, grows the trees and
-streams each with its vertex bitmask; the edge and chord lists it yields are
-its own live lists, so a caller copies what it keeps. Growth that skips
-attachments adding a chord yields the Penrose trees; growth that keeps them
-yields every subtree with its chords, for the partition-scheme verifier.
-Forest counting grows each Penrose tree once, tallies the trees on each vertex
-bitmask and sums over set partitions; the alternating evaluation of the count
-is the chromatic polynomial.
+serves ``penrose_closure`` too. One walk, ``_grow_trees``, is given its roots
+and the allowed vertices, grows from each root over the allowed vertices not
+before it, and streams each tree with its vertex bitmask; the edge and chord
+lists it yields are its own live lists, so a caller copies what it keeps.
+Growth that skips attachments adding a chord yields the Penrose trees; growth
+that keeps them yields every subtree with its chords, for the partition-scheme
+verifier. Forest counting grows each Penrose tree once, tallies the trees on
+each vertex bitmask and sums over set partitions; the alternating evaluation
+of the count is the chromatic polynomial. The trees through a vertex v are
+those grown from the roots not after v that reach it: ``penrose_tree_series``
+counts them by edge count from the bitmask, for the closed-form bounds of
+``genfun``.
 """
 
 from collections import Counter
@@ -252,16 +256,17 @@ def _closure_chords(adj, rank, depth, w, x):
     return out
 
 
-def _grow_trees(adj, rank, v, allowed, penrose_only, max_vertices=None):
-    """Yield (S, tree edges, closure chords) for the subtrees rooted at v
-    inside ``allowed``, with at most ``max_vertices`` vertices when that is
-    given; S is the tree's vertex bitmask, and the empty tree, v alone, comes
-    first.
+def _grow_trees(adj, rank, roots, allowed, penrose_only, max_vertices=None):
+    """Yield (S, tree edges, closure chords) for the subtrees rooted at each
+    of ``roots`` in turn, grown over the ``allowed`` vertices not before their
+    root in the order, with at most ``max_vertices`` vertices when that is
+    given; S is the tree's vertex bitmask, and each root's empty tree, the
+    root alone, comes first. Roots must be allowed.
 
     The edge and chord lists are the walk's own, changed in place as it goes
     on, so a caller copies what it keeps past the next step.
 
-    v must be the order-least member of ``allowed``, so the root, and with it
+    A tree grows only over vertices after its root, so the root, and with it
     every depth and father, stays fixed as the tree grows. Candidate edges
     are used in the order they were found, and one skipped is not used again
     below, so vertices join in order of depth: the chords found when a vertex
@@ -269,78 +274,100 @@ def _grow_trees(adj, rank, v, allowed, penrose_only, max_vertices=None):
     attachment that adds a chord is skipped, which leaves exactly the Penrose
     trees, since later growth never removes a chord.
 
-    One generator frame walks the trees depth first over an explicit stack.
-    A stack entry is [candidates, next index, vertex added, chords added].
+    One generator frame walks each root's trees depth first over an explicit
+    stack. A stack entry is [candidates, next index, vertex added, chords
+    added].
     """
     chords_of = _closure_chords  # read once per walk, through the module
-    depth = {v: 0}
     tree: list[tuple[int, int]] = []
     chords: list[tuple[int, int]] = []
-    steps = {x: [(x, y) for y in adj[x] if y in allowed] for x in allowed}
-    limit = len(allowed) if max_vertices is None else max_vertices
-    s = 1 << v
-    yield s, tree, chords
-    stack = [[steps[v] if limit > 1 else (), 0, v, 0]]
-    while stack:
-        frame = stack[-1]
-        cands, i = frame[0], frame[1]
-        end = len(cands)
-        while i < end:
-            x, w = cands[i]
-            i += 1
-            if w in depth:
-                continue
-            new = chords_of(adj, rank, depth, w, x)
-            if new and penrose_only:
-                continue
-            break
-        else:
-            # every candidate tried: take back the vertex this frame added
-            stack.pop()
-            if stack:
-                w, k = frame[2], frame[3]
-                del depth[w]
-                tree.pop()
-                if k:
-                    del chords[-k:]
-                s ^= 1 << w
-            continue
-        frame[1] = i
-        depth[w] = depth[x] + 1
-        tree.append((x, w) if x < w else (w, x))
-        if new:
-            chords.extend(new)
-        s |= 1 << w
+    for v in roots:
+        later = {w for w in allowed if rank[w] >= rank[v]}
+        steps = {x: [(x, y) for y in adj[x] if y in later] for x in later}
+        limit = len(later) if max_vertices is None else max_vertices
+        depth = {v: 0}
+        s = 1 << v
         yield s, tree, chords
-        stack.append([cands[i:] + steps[w] if len(depth) < limit else (), 0, w, len(new)])
+        stack = [[steps[v] if limit > 1 else (), 0, v, 0]]
+        while stack:
+            frame = stack[-1]
+            cands, i = frame[0], frame[1]
+            end = len(cands)
+            while i < end:
+                x, w = cands[i]
+                i += 1
+                if w in depth:
+                    continue
+                new = chords_of(adj, rank, depth, w, x)
+                if new and penrose_only:
+                    continue
+                break
+            else:
+                # every candidate tried: take back the vertex this frame added
+                stack.pop()
+                if stack:
+                    w, k = frame[2], frame[3]
+                    del depth[w]
+                    tree.pop()
+                    if k:
+                        del chords[-k:]
+                    s ^= 1 << w
+                continue
+            frame[1] = i
+            depth[w] = depth[x] + 1
+            tree.append((x, w) if x < w else (w, x))
+            if new:
+                chords.extend(new)
+            s |= 1 << w
+            yield s, tree, chords
+            stack.append([cands[i:] + steps[w] if len(depth) < limit else (), 0, w, len(new)])
 
 
-def _penrose_trees(adj, rank, roots, allowed):
-    """Yield (S, tree edges, chords) as ``_grow_trees`` does, for each Penrose
-    tree inside ``allowed`` whose root, its order-least vertex, is in
-    ``roots``; each comes once, and the chord list stays empty."""
-    for r in roots:
-        later = frozenset(w for w in allowed if rank[w] >= rank[r])
-        yield from _grow_trees(adj, rank, r, later, True)
+def _trees_through(g: Graph, ordering: VertexOrdering, v: int, allowed):
+    """(U, walk): U the usable vertex set, ``allowed`` or every vertex, and
+    the walk over the Penrose trees inside U that contain v, as
+    ``_grow_trees`` yields them. U must hold v; the trees rooted at its
+    vertices not after v are grown, and those that reach v are kept. The
+    arguments are checked now, before the first tree is grown."""
+    ordering = _checked_ordering(g, ordering)
+    usable = frozenset(range(g.n) if allowed is None else allowed)
+    _check_vertices(g, usable)
+    if v not in usable:
+        raise ContractViolationError("v must be in the allowed set")
+    roots = [r for r in ordering.order[: ordering.rank[v] + 1] if r in usable]
+    trees = _grow_trees(_sorted_adj(g), ordering.rank, roots, usable, True)
+    return usable, (item for item in trees if item[0] >> v & 1)
 
 
 def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed=None):
     """Yield the edge sets of Penrose trees whose vertex set contains v, the
     empty tree (v alone) included. ``allowed`` restricts the usable vertices
-    and must hold v; the trees rooted at allowed vertices not after v are
-    grown, and those that reach v are kept. Arguments are checked when the
-    function is called, before the first tree is grown."""
-    ordering = _checked_ordering(g, ordering)
-    allowed = frozenset(range(g.n) if allowed is None else allowed)
-    _check_vertices(g, allowed)
-    if v not in allowed:
-        raise ContractViolationError("v must be in the allowed set")
-    roots = [r for r in ordering.order[: ordering.rank[v] + 1] if r in allowed]
-    return (
-        frozenset(tree)
-        for s, tree, _ in _penrose_trees(_sorted_adj(g), ordering.rank, roots, allowed)
-        if s >> v & 1
-    )
+    and must hold v. Arguments are checked when the function is called,
+    before the first tree is grown."""
+    _, trees = _trees_through(g, ordering, v, allowed)
+    return (frozenset(tree) for _, tree, _ in trees)
+
+
+def penrose_tree_series(
+    g: Graph,
+    ordering: VertexOrdering,
+    v: int,
+    allowed=None,
+    max_vertices: int = DEFAULT_FOREST_CAP,
+) -> tuple[int, ...]:
+    """Counts of Penrose trees through v, indexed by edge count.
+
+    Entry k is the number of Penrose trees whose vertex set contains v and
+    that use k edges; entry 0 is 1 for the bare vertex. The weighted sum of
+    entry k times y^k is the quantity the closed-form bounds of ``genfun``
+    dominate. More than ``max_vertices`` usable vertices are refused before
+    any tree is grown, after the arguments are checked.
+    """
+    usable, trees = _trees_through(g, ordering, v, allowed)
+    if len(usable) > max_vertices:
+        raise EnumerationCapError("penrose tree enumeration", len(usable), max_vertices)
+    counts = Counter(s.bit_count() - 1 for s, _, _ in trees)
+    return tuple(counts[k] for k in range(max(counts) + 1))
 
 
 def enumerate_penrose_forests(
@@ -365,7 +392,7 @@ def enumerate_penrose_forests(
             return
         v = min(avail, key=rank.__getitem__)
         yield from rec(avail - {v}, acc)
-        for _, tree, _ in _grow_trees(adj, rank, v, avail, True):
+        for _, tree, _ in _grow_trees(adj, rank, (v,), avail, True):
             if tree:
                 yield from rec(avail.difference(*tree), acc + [frozenset(tree)])
 
@@ -385,7 +412,7 @@ def penrose_polynomial(
     if g.n > max_vertices:
         raise EnumerationCapError("penrose forest count", g.n, max_vertices)
     ordering = _checked_ordering(g, ordering)
-    trees = _penrose_trees(_sorted_adj(g), ordering.rank, ordering.order, range(g.n))
+    trees = _grow_trees(_sorted_adj(g), ordering.rank, ordering.order, range(g.n), True)
     tally: dict[int, dict[int, int]] = {}  # lowest vertex bit -> {S: t(S)}
     for s, t in Counter(map(itemgetter(0), trees)).items():
         tally.setdefault(s & -s, {})[s] = t
@@ -519,10 +546,9 @@ def verify_partition_scheme(
     adj = _sorted_adj(g)
     rank = ordering.rank
     checked = {}  # vertex bitmask S -> _IntervalScan.result()
-    for p, r in enumerate(ordering.order):
-        later = frozenset(ordering.order[p:])
+    for r in ordering.order:
         scans: dict[int, _IntervalScan] = {}
-        for s, tree, chords in _grow_trees(adj, rank, r, later, False, top):
+        for s, tree, chords in _grow_trees(adj, rank, (r,), range(g.n), False, top):
             if tree:
                 scan = scans.get(s)
                 if scan is None:
@@ -624,12 +650,12 @@ def _counterexample(adj, rank, rs, s: int, x: int) -> SchemeCounterexample:
     """The edge mask x over the vertex set s, with the number of spanning
     trees of s whose intervals hold it; the trees are grown again."""
     scan = _IntervalScan(adj, s)
-    vs = frozenset(v for v in range(s.bit_length()) if s >> v & 1)
+    vs = [v for v in range(s.bit_length()) if s >> v & 1]
     root = min(vs, key=rank.__getitem__)
     containing = sum(
         scan.interval(tree, chords) >> x & 1
-        for _, tree, chords in _grow_trees(adj, rank, root, vs, False)
-        if len(tree) == len(vs) - 1
+        for t, tree, chords in _grow_trees(adj, rank, (root,), vs, False)
+        if t == s
     )
     return SchemeCounterexample(
         subset=frozenset(rs),

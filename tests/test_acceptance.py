@@ -170,7 +170,7 @@ def _anchored_forests(g, u):
 def test_criterion_5_merge_obstruction_equivalence():
     bad = []
     checked = 0
-    for g in claw_free_corpus(8):
+    for g in claw_free_corpus():
         for u in range(g.n):
             for o, pair, forest in _anchored_forests(g, u):
                 res = obstruction_check(g, o, u, pair, forest)
@@ -183,7 +183,7 @@ def test_criterion_5_merge_obstruction_equivalence():
     # second anchor contributes a bare vertex.
     exceptions = []
     g1_checked = 0
-    for g in g1_corpus(8):
+    for g in g1_corpus():
         for u in range(g.n):
             for o, pair, forest in _anchored_forests(g, u):
                 if pair[1] in {x for e in forest for x in e}:
@@ -284,7 +284,7 @@ def _disk_constants(g):
 
 
 def test_criterion_7_zero_free_certificate():
-    corpus = certificate_corpus(12)
+    corpus = certificate_corpus()
     assert all(classify(g).claw_free and g.max_degree() >= 3 for g in corpus)
 
     # Every chromatic root sits strictly inside the disk, with margin far

@@ -13,11 +13,12 @@ from chromadisk import (
     VertexOrdering,
     degree_tree_bound,
     envelope_bound,
+    penrose,
     penrose_tree_series,
     tree_count_table,
     tree_series,
 )
-from chromadisk.corpus import complete_graph, octahedron, prism_graph
+from chromadisk.corpus import complete_graph, octahedron, path_graph, prism_graph
 from oracles import count_admissible_subtrees
 
 
@@ -212,6 +213,20 @@ class TestEnumeratedSeries:
             big, _v_first(13, 0), 0, allowed=set(range(12))
         )
         assert restricted[0] == 1
+
+    @pytest.mark.parametrize("g", [path_graph(14), complete_graph(14)], ids=["P14", "K14"])
+    def test_generator_allowed_refused_at_cap(self, monkeypatch, g):
+        # the cap reads the vertex set the trees grow in, so a one-pass
+        # iterable is refused too, before the first tree
+        def no_growth(*args):
+            raise AssertionError("a tree was grown")
+            yield  # a generator, as the walk is: only asking for a tree fails
+
+        monkeypatch.setattr(penrose, "_grow_trees", no_growth)
+        with pytest.raises(
+            EnumerationCapError, match="^penrose tree enumeration: size 14 exceeds cap 12$"
+        ):
+            penrose_tree_series(g, VertexOrdering.natural(14), 0, allowed=(w for w in range(14)))
 
     @pytest.mark.parametrize("stray", [-1, 99])
     def test_allowed_vertex_outside_graph(self, stray):

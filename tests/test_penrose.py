@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -26,6 +27,7 @@ from chromadisk import (
     penrose,
     penrose_closure,
     penrose_polynomial,
+    penrose_tree_series,
     penrose_trees_containing,
     ratio_R,
     verify_partition_scheme,
@@ -261,6 +263,20 @@ class TestEnumeration:
             assert p.coeff(k) <= all_forests
 
 
+def _general_v_cases():
+    # v is not order-least, so trees through v have roots before it
+    cases = [(g, nat(5), 3, None) for g in all_graphs_up_to_iso(5)]
+    for seed in range(8):
+        n = 6 + seed % 2
+        g = random_graph(n, 0.5, seed=seed)
+        o = VertexOrdering.from_order(random_ordering(n, 50 + seed))
+        v = o.order[n // 2]
+        rng = random.Random(seed)
+        allowed = {v, rng.choice(o.order[: n // 2]), *rng.sample(range(n), n - 3)}
+        cases += [(g, o, v, None), (g, o, v, allowed)]
+    return cases
+
+
 class TestTreesContaining:
     def test_fast_path_matches_brute_force(self):
         for n in (4, 5):
@@ -272,21 +288,18 @@ class TestTreesContaining:
                 assert set(got) == set(want)
 
     def test_general_path_matches_brute_force(self):
-        # v is not order-least, so trees through v have roots before it
-        cases = [(g, nat(5), 3, None) for g in all_graphs_up_to_iso(5)]
-        for seed in range(8):
-            n = 6 + seed % 2
-            g = random_graph(n, 0.5, seed=seed)
-            o = VertexOrdering.from_order(random_ordering(n, 50 + seed))
-            v = o.order[n // 2]
-            rng = random.Random(seed)
-            allowed = {v, rng.choice(o.order[: n // 2]), *rng.sample(range(n), n - 3)}
-            cases += [(g, o, v, None), (g, o, v, allowed)]
-        for g, o, v, allowed in cases:
+        for g, o, v, allowed in _general_v_cases():
             got = list(penrose_trees_containing(g, o, v, allowed=allowed))
             want = brute_force_penrose_trees_containing(g, o, v, allowed)
             assert len(got) == len(set(got))
             assert set(got) == set(want)
+
+    def test_tree_series_is_edge_count_histogram(self):
+        # the series counts the walk's bitmasks, the trees route its edges
+        for g, o, v, allowed in _general_v_cases():
+            sizes = Counter(map(len, penrose_trees_containing(g, o, v, allowed=allowed)))
+            want = tuple(sizes[k] for k in range(max(sizes) + 1))
+            assert penrose_tree_series(g, o, v, allowed=allowed) == want
 
     def test_allowed_restriction(self):
         g = complete_graph(5)
@@ -497,9 +510,9 @@ def test_each_penrose_tree_grown_once(monkeypatch, g, o):
     grown = 0
     grow = penrose._grow_trees
 
-    def counting(adj, rank, v, allowed, penrose_only):
+    def counting(adj, rank, roots, allowed, penrose_only):
         nonlocal grown
-        for item in grow(adj, rank, v, allowed, penrose_only):
+        for item in grow(adj, rank, roots, allowed, penrose_only):
             grown += penrose_only
             yield item
 
@@ -535,9 +548,8 @@ def test_each_subtree_grown_once_per_scheme_check(monkeypatch, g, o):
 def test_walk_yields_vertex_bitmask(penrose_only, max_vertices):
     for g, o in _scheme_cases():
         adj = penrose._sorted_adj(g)
-        for p, r in enumerate(o.order):
-            later = frozenset(o.order[p:])
-            for s, tree, _ in penrose._grow_trees(adj, o.rank, r, later, penrose_only, max_vertices):
+        for r in o.order:
+            for s, tree, _ in penrose._grow_trees(adj, o.rank, (r,), range(g.n), penrose_only, max_vertices):
                 assert s == (1 << r) | sum({1 << x for e in tree for x in e})
                 assert max_vertices is None or len(tree) < max_vertices
 
