@@ -5,13 +5,18 @@ Subcommands: analyze, bounds, table1, verify-scheme, roots. Exit codes:
 failure (scheme mismatch, reference-table deviation, or a root outside its
 disk). Every command accepts --json for a machine-readable document with
 sorted keys and 6-decimal floats; identical inputs give byte-identical
-output.
+output, since nothing but the command line and the graph file is read.
+
+``--max-enum N`` is the one vertex cap of analyze, roots and verify-scheme:
+the chromatic oracle, Penrose forest counting and the scheme scan all refuse
+a graph above it, and a negative N exits 1. Its default is each command's
+route cap, 16 (the oracle's) for analyze and roots and 12 (the forest
+count's) for verify-scheme.
 """
 
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 
@@ -43,26 +48,14 @@ from .penrose import (
 )
 
 ROOT_RESIDUAL_ACCEPT = 1e-8
-ENV_CAP = "CHROMADISK_MAX_ENUM"
 _IDENTITY_SHUFFLE_SEED = 1789
 
 
-def _cap_override(flag_value: int | None) -> int | None:
-    """Explicit flag wins, then the environment variable, then None.
-
-    A negative cap raises DomainError."""
-    source, cap = "--max-enum", flag_value
-    if cap is None:
-        source, raw = ENV_CAP, os.environ.get(ENV_CAP)
-        if raw is None:
-            return None
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise DomainError(f"{ENV_CAP} must be an integer, got {raw!r}")
-    if cap < 0:
-        raise DomainError(f"{source} must not be negative, got {cap}")
-    return cap
+def _cap(args) -> int:
+    """The --max-enum vertex cap; a negative one raises DomainError."""
+    if args.max_enum < 0:
+        raise DomainError(f"--max-enum must not be negative, got {args.max_enum}")
+    return args.max_enum
 
 
 def _r6(x: float) -> float:
@@ -79,6 +72,26 @@ def _load(path: str) -> Graph:
     return parse_graph(text)
 
 
+def _roots_report(roots, mark_rejected: bool) -> tuple[list[dict], list[str]]:
+    """Each root's JSON entry and text line. With ``mark_rejected`` the entry
+    says whether its residual is below ROOT_RESIDUAL_ACCEPT and the line of a
+    root that is not ends in REJECTED."""
+    entries, lines = [], []
+    for r in roots:
+        entry = {
+            "re": _r6(r.value.real),
+            "im": _r6(r.value.imag),
+            "residual": float(f"{r.residual:.3e}"),
+        }
+        line = f"root: {r.value.real:+.6f}{r.value.imag:+.6f}i residual {r.residual:.3e}"
+        if mark_rejected:
+            entry["accepted"] = r.residual < ROOT_RESIDUAL_ACCEPT
+            line += "" if entry["accepted"] else "  REJECTED"
+        entries.append(entry)
+        lines.append(line)
+    return entries, lines
+
+
 def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
     if as_json:
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -89,8 +102,7 @@ def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
 
 def cmd_analyze(args) -> int:
     g = _load(args.file)
-    cap = _cap_override(args.max_enum)
-    oracle_cap = cap if cap is not None else DEFAULT_ORACLE_CAP
+    cap = _cap(args)
     cm = classify(g)
     doc: dict = {"n": g.n, "m": g.m, "max_degree": g.max_degree()}
     lines = [f"graph: n={g.n} m={g.m} max_degree={g.max_degree()}"]
@@ -107,16 +119,12 @@ def cmd_analyze(args) -> int:
         )
     )
 
-    kappa_note = None
     try:
-        stats = neighborhood_stats(g)
-        kappa = stats.kappa
-    except DegenerateDegreeError:
-        kappa = None
-        kappa_note = "max degree <= 1, ratio degenerate; reported as 0"
-    if kappa is None:
-        doc["kappa"] = {"exact": "0", "decimal": 0.0, "note": kappa_note}
-        lines.append(f"kappa: 0 ({kappa_note})")
+        kappa = neighborhood_stats(g).kappa
+    except DegenerateDegreeError:  # max degree <= 1, so no bound reads kappa
+        note = "max degree <= 1, ratio degenerate; reported as 0"
+        doc["kappa"] = {"exact": "0", "decimal": 0.0, "note": note}
+        lines.append(f"kappa: 0 ({note})")
     else:
         entry = {"exact": str(kappa), "decimal": _r6(float(kappa))}
         if kappa > 1:
@@ -134,8 +142,7 @@ def cmd_analyze(args) -> int:
         doc["bound"] = {"applicable": False, "reason": "theorem requires max degree >= 3"}
         lines.append("bound: not applicable (theorem requires max degree >= 3)")
     else:
-        kf = kappa_for_bounds(kappa if kappa is not None else 0)
-        bound = minimize_c(cm.class_index, kf)
+        bound = minimize_c(cm.class_index, kappa_for_bounds(kappa))
         radius = bound.disk_radius(delta)
         doc["bound"] = {
             "applicable": True,
@@ -151,7 +158,7 @@ def cmd_analyze(args) -> int:
 
     verdict = "not-computed"
     try:
-        poly = chromatic_deletion_contraction(g, max_vertices=oracle_cap)
+        poly = chromatic_deletion_contraction(g, max_vertices=cap)
     except EnumerationCapError as exc:
         doc["chromatic"] = {"computed": False, "reason": str(exc)}
         lines.append(f"chromatic: not computed ({exc})")
@@ -160,14 +167,8 @@ def cmd_analyze(args) -> int:
         doc["chromatic"] = {"computed": True, "coefficients": list(poly.coeffs)}
         lines.append(f"chromatic: coefficients by degree {list(poly.coeffs)}")
         roots = polynomial_roots(poly)
-        doc["roots"] = [
-            {"re": _r6(r.value.real), "im": _r6(r.value.imag), "residual": float(f"{r.residual:.3e}")}
-            for r in roots
-        ]
-        for r in roots:
-            lines.append(
-                f"root: {r.value.real:+.6f}{r.value.imag:+.6f}i residual {r.residual:.3e}"
-            )
+        doc["roots"], root_lines = _roots_report(roots, mark_rejected=False)
+        lines += root_lines
         if radius is not None:
             ok = all(
                 abs(r.value) < radius and radius - abs(r.value) > 10 * r.residual
@@ -243,11 +244,9 @@ def cmd_table1(args) -> int:
 
 def cmd_verify_scheme(args) -> int:
     g = _load(args.file)
-    cap = _cap_override(args.max_enum)
-    forest_cap = cap if cap is not None else DEFAULT_FOREST_CAP
-    oracle_cap = max(DEFAULT_ORACLE_CAP, forest_cap)
-    if g.n > forest_cap:
-        raise EnumerationCapError("scheme verification", g.n, forest_cap)
+    cap = _cap(args)
+    if g.n > cap:
+        raise EnumerationCapError("scheme verification", g.n, cap)
     report = verify_partition_scheme(g, r_max=args.rmax)
     doc: dict = {
         "n": g.n,
@@ -278,7 +277,7 @@ def cmd_verify_scheme(args) -> int:
             f" hit {ce.containing_trees} tree intervals"
         )
 
-    oracle = chromatic_deletion_contraction(g, max_vertices=oracle_cap)
+    oracle = chromatic_deletion_contraction(g, max_vertices=cap)
     orderings = [VertexOrdering.natural(g.n)]
     shuffled = list(range(g.n))
     random.Random(_IDENTITY_SHUFFLE_SEED + g.n).shuffle(shuffled)
@@ -286,7 +285,7 @@ def cmd_verify_scheme(args) -> int:
     checked = 0
     for ordering in orderings:
         checked += 1
-        identity_ok = chromatic_via_penrose(g, ordering, max_vertices=forest_cap) == oracle
+        identity_ok = chromatic_via_penrose(g, ordering, max_vertices=cap) == oracle
         if not identity_ok:
             break
     doc["identity"] = {"passed": identity_ok, "orderings_checked": checked}
@@ -301,32 +300,18 @@ def cmd_verify_scheme(args) -> int:
 
 def cmd_roots(args) -> int:
     g = _load(args.file)
-    cap = _cap_override(args.max_enum)
-    oracle_cap = cap if cap is not None else DEFAULT_ORACLE_CAP
-    poly = chromatic_deletion_contraction(g, max_vertices=oracle_cap)
+    poly = chromatic_deletion_contraction(g, max_vertices=_cap(args))
     roots = polynomial_roots(poly)
     ill = any(r.residual >= ROOT_RESIDUAL_ACCEPT for r in roots)
+    entries, root_lines = _roots_report(roots, mark_rejected=True)
     doc = {
         "n": g.n,
         "m": g.m,
         "coefficients": list(poly.coeffs),
-        "roots": [
-            {
-                "re": _r6(r.value.real),
-                "im": _r6(r.value.imag),
-                "residual": float(f"{r.residual:.3e}"),
-                "accepted": r.residual < ROOT_RESIDUAL_ACCEPT,
-            }
-            for r in roots
-        ],
+        "roots": entries,
         "ill_conditioned": ill,
     }
-    lines = [f"chromatic coefficients by degree: {list(poly.coeffs)}"]
-    for r in roots:
-        flag = "" if r.residual < ROOT_RESIDUAL_ACCEPT else "  REJECTED"
-        lines.append(
-            f"root: {r.value.real:+.6f}{r.value.imag:+.6f}i residual {r.residual:.3e}{flag}"
-        )
+    lines = [f"chromatic coefficients by degree: {list(poly.coeffs)}", *root_lines]
     if ill:
         lines.append("warning: polynomial ill-conditioned, at least one residual >= 1e-8")
     _emit(doc, args.json, lines)
@@ -344,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="classify a graph file and certify its roots")
     pa.add_argument("file")
-    pa.add_argument("--max-enum", type=int, default=None, help="vertex cap override")
+    pa.add_argument(
+        "--max-enum", type=int, default=DEFAULT_ORACLE_CAP, help="vertex cap (default: %(default)s)"
+    )
     pa.add_argument("--json", action="store_true")
     pa.set_defaults(func=cmd_analyze)
 
@@ -365,13 +352,17 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify-scheme", help="partition and identity checks on a file")
     pv.add_argument("file")
     pv.add_argument("--rmax", type=int, default=6)
-    pv.add_argument("--max-enum", type=int, default=None, help="vertex cap override")
+    pv.add_argument(
+        "--max-enum", type=int, default=DEFAULT_FOREST_CAP, help="vertex cap (default: %(default)s)"
+    )
     pv.add_argument("--json", action="store_true")
     pv.set_defaults(func=cmd_verify_scheme)
 
     pr = sub.add_parser("roots", help="chromatic roots of a graph file")
     pr.add_argument("file")
-    pr.add_argument("--max-enum", type=int, default=None, help="vertex cap override")
+    pr.add_argument(
+        "--max-enum", type=int, default=DEFAULT_ORACLE_CAP, help="vertex cap (default: %(default)s)"
+    )
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(func=cmd_roots)
     return p

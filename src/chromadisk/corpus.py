@@ -22,10 +22,6 @@ from .graphs import (
 )
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [])
-
-
 def complete_graph(n: int) -> Graph:
     return Graph(n, combinations(range(n), 2))
 

@@ -349,37 +349,32 @@ def penrose_trees_containing(g: Graph, ordering: VertexOrdering, v: int, allowed
 
 
 def penrose_tree_series(
-    g: Graph,
-    ordering: VertexOrdering,
-    v: int,
-    allowed=None,
-    max_vertices: int = DEFAULT_FOREST_CAP,
+    g: Graph, ordering: VertexOrdering, v: int, allowed=None
 ) -> tuple[int, ...]:
     """Counts of Penrose trees through v, indexed by edge count.
 
     Entry k is the number of Penrose trees whose vertex set contains v and
     that use k edges; entry 0 is 1 for the bare vertex. The weighted sum of
     entry k times y^k is the quantity the closed-form bounds of ``genfun``
-    dominate. More than ``max_vertices`` usable vertices are refused before
-    any tree is grown, after the arguments are checked.
+    dominate. More than ``DEFAULT_FOREST_CAP`` usable vertices are refused
+    before any tree is grown, after the arguments are checked.
     """
     usable, trees = _trees_through(g, ordering, v, allowed)
-    if len(usable) > max_vertices:
-        raise EnumerationCapError("penrose tree enumeration", len(usable), max_vertices)
+    if len(usable) > DEFAULT_FOREST_CAP:
+        raise EnumerationCapError("penrose tree enumeration", len(usable), DEFAULT_FOREST_CAP)
     counts = Counter(s.bit_count() - 1 for s, _, _ in trees)
     return tuple(counts[k] for k in range(max(counts) + 1))
 
 
-def enumerate_penrose_forests(
-    g: Graph, ordering: VertexOrdering | None = None, max_vertices: int = DEFAULT_FOREST_CAP
-):
+def enumerate_penrose_forests(g: Graph, ordering: VertexOrdering | None = None):
     """Yield every Penrose forest of the graph, the empty forest included.
 
     Components are chosen root by root in increasing order, so each forest
-    appears exactly once. Graphs above ``max_vertices`` are refused.
+    appears exactly once. Graphs above ``DEFAULT_FOREST_CAP`` vertices are
+    refused when the function is called.
     """
-    if g.n > max_vertices:
-        raise EnumerationCapError("penrose forest enumeration", g.n, max_vertices)
+    if g.n > DEFAULT_FOREST_CAP:
+        raise EnumerationCapError("penrose forest enumeration", g.n, DEFAULT_FOREST_CAP)
     ordering = _checked_ordering(g, ordering)
     adj = _sorted_adj(g)
     rank = ordering.rank

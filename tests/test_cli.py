@@ -102,27 +102,13 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["chromatic"]["computed"] is True
 
-    def test_cap_env_override(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CHROMADISK_MAX_ENUM", "17")
+    def test_environment_does_not_move_the_cap(self, tmp_path, capsys, monkeypatch):
+        # only --max-enum sets the cap, so one command line gives one output
         path = gfile(tmp_path, "p17.txt", path_graph(17))
-        code, out, _ = run(capsys, "analyze", path, "--json")
-        assert code == 0
-        assert json.loads(out)["chromatic"]["computed"] is True
-
-    def test_bad_env_value_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CHROMADISK_MAX_ENUM", "lots")
-        path = gfile(tmp_path, "k3.txt", complete_graph(3))
-        code, _, err = run(capsys, "analyze", path)
-        assert code == 1
-        assert "CHROMADISK_MAX_ENUM" in err
-
-    def test_negative_env_cap_exits_one(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CHROMADISK_MAX_ENUM", "-3")
-        path = gfile(tmp_path, "k3.txt", complete_graph(3))
-        code, out, err = run(capsys, "analyze", path)
-        assert code == 1
-        assert out == ""
-        assert "CHROMADISK_MAX_ENUM must not be negative" in err
+        plain = run(capsys, "analyze", path, "--json")
+        monkeypatch.setenv("CHROMADISK_MAX_ENUM", "17")
+        assert run(capsys, "analyze", path, "--json") == plain
+        assert json.loads(plain[1])["chromatic"]["computed"] is False
 
     def test_duplicate_edge_warning_surfaces(self, tmp_path, capsys):
         p = tmp_path / "dup.txt"
@@ -256,6 +242,15 @@ class TestVerifyScheme:
         code, out, _ = run(capsys, "verify-scheme", path, "--max-enum", "13")
         assert code == 0
         assert "partition check: pass" in out
+
+    def test_cap_above_oracle_default_reaches_the_oracle(self, tmp_path, capsys):
+        # the oracle and forest counting take the one cap, past the oracle's 16
+        path = gfile(tmp_path, "p17.txt", path_graph(17))
+        code, out, err = run(capsys, "verify-scheme", path, "--max-enum", "17", "--json")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["partition"]["passed"] is True
+        assert doc["identity"] == {"passed": True, "orderings_checked": 2}
 
     def test_negative_cap_flag_exits_one(self, tmp_path, capsys):
         path = gfile(tmp_path, "k3.txt", complete_graph(3))

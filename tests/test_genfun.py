@@ -230,12 +230,12 @@ class TestEnumeratedSeries:
 
     @pytest.mark.parametrize("stray", [-1, 99])
     def test_allowed_vertex_outside_graph(self, stray):
-        # checked before the cap, so the stray vertex is named even at the cap
-        g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-        for cap in (12, 3):
+        # checked before the cap, so the stray vertex is named even above it:
+        # P13's vertices and the stray are 14 usable vertices, against 12
+        for n in (4, 13):
             with pytest.raises(ContractViolationError, match=f"vertex {stray} "):
                 penrose_tree_series(
-                    g, VertexOrdering.natural(4), 1, allowed={0, 1, 2, stray}, max_vertices=cap
+                    path_graph(n), VertexOrdering.natural(n), 1, allowed={*range(n), stray}
                 )
 
     @settings(max_examples=20, deadline=None)

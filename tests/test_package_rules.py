@@ -44,6 +44,23 @@ def test_no_imports_inside_functions():
     assert not bad, "\n".join(sorted(bad))
 
 
+def test_no_environment_reads():
+    # a command line and a graph file decide every result
+    names = {"environ", "environb", "getenv", "getenvb"}
+    bad = [
+        f"{path}:{node.lineno}: reads the environment"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr in names)
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "os"
+            and any(alias.name in names for alias in node.names)
+        )
+    ]
+    assert not bad, "\n".join(bad)
+
+
 def test_no_module_level_mutable_state():
     trees = _modules()
     classes = {n.name for t in trees.values() for n in ast.walk(t) if isinstance(n, ast.ClassDef)}
