@@ -34,7 +34,7 @@ from operator import itemgetter
 
 from . import chromatic
 from .errors import ConditioningError, ContractViolationError, DomainError, EnumerationCapError
-from .graphs import Graph
+from .graphs import Graph, adjacency_masks
 from .intpoly import IntPolynomial
 
 DEFAULT_FOREST_CAP = 12
@@ -508,36 +508,38 @@ def verify_partition_scheme(
     interval [T, closure(T)] of exactly one spanning tree T. Spanning means
     covering the vertices that E(R) touches, R's support S; E(R) = E(S).
 
-    Every subtree with at most r_max vertices is grown once, from its
+    The subsets R are walked once, before any tree is grown: the walk adds
+    up the scan's size, the sum of 2^|E(R)|, refused above MAX_SCHEME_MASKS
+    with EnumerationCapError (at once when the subset count alone is above
+    it), and counts the subsets on each support. r_max below 2 checks
+    nothing and raises DomainError.
+
+    Every subtree with at most r_max vertices is then grown once, from its
     order-least vertex, with the closure chords collected as it grew, which
     are the free edges of its interval. The subtrees of one root are checked
     together, each folded into the bitsets of its vertex set S as it is
     grown (see _IntervalScan); of each S only its count of connected
-    spanning edge sets and its first failure are kept. The subsets R are
-    then walked in order, adding up the counts of their supports; a support
-    no tree spans counts 0. The first failing subset's counterexample counts
-    the intervals holding its edge set by growing its support's trees again.
-
-    The scan's size, the sum of 2^|E(R)| over all subsets R, is refused above
-    MAX_SCHEME_MASKS with EnumerationCapError before any tree is grown. A
-    bound comes first: an r-subset has at most min(C(r, 2), m) edges, so when
-    the sum of C(n, r) 2^min(C(r, 2), m) is within the cap the subsets are
-    walked once, by the check itself. Otherwise the size is counted exactly,
-    in one more walk, unless the subset count alone is already above the cap,
-    since each subset adds at least 1. r_max below 2 checks nothing and
-    raises DomainError.
+    spanning edge sets and its first failure are kept. A pass adds up the
+    counts of the subsets' supports, 0 for a support no tree spans. A failure
+    walks the subsets again to the first failing one, whose counterexample
+    counts the intervals holding its edge set by growing its trees again.
     """
     if r_max < 2:
         raise DomainError(f"r_max must be at least 2, got {r_max}")
     ordering = _checked_ordering(g, ordering)
     top = min(r_max, g.n)
-    sizes = range(2, top + 1)
-    if sum(comb(g.n, r) << min(comb(r, 2), g.m) for r in sizes) > MAX_SCHEME_MASKS:
-        size = sum(comb(g.n, r) for r in sizes)
-        if size <= MAX_SCHEME_MASKS:
-            size = sum(1 << m for _, _, m in _subset_supports(g, top))
-        if size > MAX_SCHEME_MASKS:
-            raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
+    subsets = size = sum(comb(g.n, r) for r in range(2, top + 1))
+    if size <= MAX_SCHEME_MASKS:
+        on_support = Counter()  # support bitmask -> subsets R with it
+        walk = _subset_supports(g, top)
+        size = 0
+        for _, support, m in walk:
+            on_support[support] += 1
+            size += 1 << m
+            if size > MAX_SCHEME_MASKS:  # refused: count the rest, keep nothing
+                size += sum(1 << m for _, _, m in walk)
+    if size > MAX_SCHEME_MASKS:
+        raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
     adj = _sorted_adj(g)
     rank = ordering.rank
     checked = {}  # vertex bitmask S -> _IntervalScan.result()
@@ -551,7 +553,10 @@ def verify_partition_scheme(
                 scan.add(tree, chords)
         for s, scan in scans.items():
             checked[s] = scan.result()
-    subsets = edge_sets = 0
+    if all(bad is None for _, bad, _ in checked.values()):
+        edge_sets = sum(on_support[s] * count for s, (count, _, _) in checked.items())
+        return SchemeReport(True, subsets, edge_sets, None)
+    subsets = edge_sets = 0  # a bad S fails at the latest at R = S, its own support
     for rs, support, _ in _subset_supports(g, top):
         subsets += 1
         count, bad, before = checked.get(support, (0, None, 0))
@@ -563,19 +568,13 @@ def verify_partition_scheme(
                 counterexample=_counterexample(adj, rank, rs, support, bad),
             )
         edge_sets += count
-    return SchemeReport(
-        passed=True,
-        subsets_checked=subsets,
-        edge_sets_checked=edge_sets,
-        counterexample=None,
-    )
 
 
 def _subset_supports(g: Graph, top: int):
     """Yield (R, support bitmask, |E(R)|) for the vertex subsets R with 2 to
     ``top`` vertices, by size and then in combinations order."""
     bits = [1 << v for v in range(g.n)]
-    nbrs = [sum(map(bits.__getitem__, a)) for a in g.adj]
+    nbrs = adjacency_masks(g)
     for r in range(2, top + 1):
         for rs in combinations(range(g.n), r):
             inside = sum(map(bits.__getitem__, rs))

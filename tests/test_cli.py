@@ -4,12 +4,20 @@ import time
 
 import pytest
 
-from chromadisk import IntPolynomial, bounds, cli, format_graph, penrose
+from chromadisk import (
+    IntPolynomial,
+    bounds,
+    chromatic_deletion_contraction,
+    cli,
+    format_graph,
+    penrose,
+)
 from chromadisk.cli import main
 from chromadisk.corpus import (
     claw_graph,
     complete_graph,
     cycle_graph,
+    icosahedron,
     path_graph,
     prism_graph,
     random_graph,
@@ -276,6 +284,27 @@ class TestVerifyScheme:
         assert code == 2
         assert out == ""
         assert "326207116" in err and str(1 << 22) in err
+
+    def test_forest_count_above_cap_refused(self, tmp_path, capsys):
+        # K11 has |P(-1)| = 11! Penrose forests, which take minutes to count
+        path = gfile(tmp_path, "k11.txt", complete_graph(11))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-scheme", path, "--rmax", "2")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error:") and "39916800" in line and str(1 << 22) in line
+
+    def test_forest_count_within_cap_reaches_identity(self, tmp_path, capsys, monkeypatch):
+        # the icosahedron's 3,011,280 forests are within the cap
+        monkeypatch.setattr(
+            cli, "chromatic_via_penrose", lambda g, *a, **k: chromatic_deletion_contraction(g)
+        )
+        path = gfile(tmp_path, "ico.txt", icosahedron())
+        code, out, _ = run(capsys, "verify-scheme", path, "--rmax", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["identity"] == {"passed": True, "orderings_checked": 2}
 
     def test_rmax_below_two_exits_one(self, tmp_path, capsys):
         path = gfile(tmp_path, "k3.txt", complete_graph(3))

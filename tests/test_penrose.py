@@ -41,6 +41,7 @@ from chromadisk.corpus import (
     disjoint_union,
     octahedron,
     path_graph,
+    random_connected_graph,
     random_graph,
     random_ordering,
     scheme_corpus,
@@ -475,6 +476,19 @@ class TestPartitionScheme:
         o = VertexOrdering.from_order(random_ordering(6, 99))
         assert verify_partition_scheme(g, o, r_max=5).passed
 
+    def test_refused_size_stops_counting_supports(self):
+        # K14 has 15,899 subsets of 2 to 10 vertices, whose sizes pass the
+        # cap 64 subsets into the 6-subsets; counting every support would
+        # peak near 1.2 MB, stopping there at about 0.3 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(EnumerationCapError, match="35357946262965846"):
+                verify_partition_scheme(complete_graph(14), r_max=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 1024
+
 
 def _scheme_cases():
     # the last three have subsets whose support is a smaller set or disconnected
@@ -555,11 +569,18 @@ def test_walk_yields_vertex_bitmask(penrose_only, max_vertices):
 
 
 @pytest.mark.parametrize(
-    "g, passes", [(complete_graph(6), 1), (path_graph(30), 2)], ids=["K6", "P30"]
+    "g, r_max, chords, passes",
+    [
+        (complete_graph(6), 6, None, 1),
+        (path_graph(30), 6, None, 1),
+        (cycle_graph(40), 5, None, 1),
+        (complete_graph(4), 6, _no_chords, 2),
+    ],
+    ids=["K6", "P30", "C40", "K4-gaps"],
 )
-def test_subset_walks_per_scheme_check(monkeypatch, g, passes):
-    # K6's bound on the scan size is within the cap, so only the check walks
-    # the subsets; P30's is not, so its size is counted first
+def test_subset_walks_per_scheme_check(monkeypatch, g, r_max, chords, passes):
+    # one walk sizes the scan and counts the supports, from which a passing
+    # check is reported; only a failing one walks again to its first failure
     walks = 0
     supports = penrose._subset_supports
 
@@ -569,7 +590,9 @@ def test_subset_walks_per_scheme_check(monkeypatch, g, passes):
         return supports(*args)
 
     monkeypatch.setattr(penrose, "_subset_supports", counting)
-    assert verify_partition_scheme(g, r_max=6).passed
+    if chords is not None:
+        monkeypatch.setattr(penrose, "_closure_chords", chords)
+    assert verify_partition_scheme(g, r_max=r_max).passed == (chords is None)
     assert walks == passes
 
 
@@ -596,6 +619,24 @@ class TestPartitionSchemeAgainstScan:
                 failed += 1
                 assert hits(rep.counterexample.containing_trees)
         assert failed > 0
+
+    @pytest.mark.parametrize(
+        "chords", [None, _no_chords, _every_chord], ids=["closure", "gaps", "overlaps"]
+    )
+    def test_sparse_graphs_match_scan(self, monkeypatch, chords):
+        # larger and sparser than _scheme_cases(): sum C(n, r) 2^min(C(r, 2), m)
+        # is far above the cap on each, the exact scan size far below it
+        if chords is not None:
+            monkeypatch.setattr(penrose, "_closure_chords", chords)
+        graphs = [
+            path_graph(14),
+            cycle_graph(14),
+            random_connected_graph(14, 3, seed=2),
+            random_connected_graph(16, 2, seed=4),
+        ]
+        for i, g in enumerate(graphs):
+            for o in (nat(g.n), VertexOrdering.from_order(random_ordering(g.n, 500 + i))):
+                assert verify_partition_scheme(g, o) == verify_partition_scheme_scan(g, o)
 
 
 def _merge_edges(u, pair, forest_edges):
