@@ -50,14 +50,6 @@ from .penrose import (
 ROOT_RESIDUAL_ACCEPT = 1e-8
 _IDENTITY_SHUFFLE_SEED = 1789
 
-# Largest forest count |P(-1)| that verify-scheme's identity check counts.
-# The Penrose forests under any order number |P(-1)|, the acyclic
-# orientations, and counting them grows at most that many plus n - 1 trees
-# per order. Near the cap both orders take seconds: the icosahedron
-# (3,011,280 forests) 4.8-6.1 s, K10 (3,628,800) 9.1-10.8 s, on a 2-core
-# Xeon. K11 (39,916,800) is refused.
-MAX_IDENTITY_FORESTS = 1 << 22
-
 
 def _cap(args) -> int:
     """The --max-enum vertex cap; a negative one raises DomainError."""
@@ -286,9 +278,6 @@ def cmd_verify_scheme(args) -> int:
         )
 
     oracle = chromatic_deletion_contraction(g, max_vertices=cap)
-    forests = abs(oracle(-1))
-    if forests > MAX_IDENTITY_FORESTS:
-        raise EnumerationCapError("forest identity check", forests, MAX_IDENTITY_FORESTS)
     orderings = [VertexOrdering.natural(g.n)]
     shuffled = list(range(g.n))
     random.Random(_IDENTITY_SHUFFLE_SEED + g.n).shuffle(shuffled)

@@ -216,13 +216,14 @@ class TestEnumeratedSeries:
 
     @pytest.mark.parametrize("g", [path_graph(14), complete_graph(14)], ids=["P14", "K14"])
     def test_generator_allowed_refused_at_cap(self, monkeypatch, g):
-        # the cap reads the vertex set the trees grow in, so a one-pass
-        # iterable is refused too, before the first tree
+        # the cap reads the vertex set the trees are counted in, so a
+        # one-pass iterable is refused too, before the tally starts
         def no_growth(*args):
             raise AssertionError("a tree was grown")
             yield  # a generator, as the walk is: only asking for a tree fails
 
         monkeypatch.setattr(penrose, "_grow_trees", no_growth)
+        monkeypatch.setattr(penrose, "_layer_tally", no_growth)
         with pytest.raises(
             EnumerationCapError, match="^penrose tree enumeration: size 14 exceeds cap 12$"
         ):

@@ -39,6 +39,7 @@ from chromadisk.corpus import (
     cycle_graph,
     diamond_graph,
     disjoint_union,
+    icosahedron,
     octahedron,
     path_graph,
     random_connected_graph,
@@ -46,6 +47,7 @@ from chromadisk.corpus import (
     random_ordering,
     scheme_corpus,
 )
+from chromadisk.graphs import adjacency_masks
 from oracles import (
     brute_force_penrose_forests,
     brute_force_penrose_trees_containing,
@@ -520,23 +522,65 @@ def _every_chord(adj, rank, depth, w, x):
 
 @pytest.mark.parametrize("g, o", list(_scheme_cases()))
 def test_each_penrose_tree_grown_once(monkeypatch, g, o):
-    # By Penrose's theorem |[q^1] P_G[S]| Penrose trees span each vertex set S
-    grown = 0
-    grow = penrose._grow_trees
+    # By Penrose's theorem |[q^1] P_G[S]| Penrose trees span each vertex set S;
+    # the layered tally that penrose_polynomial reads counts each of them once
+    tallies = []
+    tally = penrose._layer_tally
 
-    def counting(adj, rank, roots, allowed, penrose_only):
-        nonlocal grown
-        for item in grow(adj, rank, roots, allowed, penrose_only):
-            grown += penrose_only
-            yield item
+    def recording(*args):
+        tallies.append(tally(*args))
+        return tallies[-1]
 
-    monkeypatch.setattr(penrose, "_grow_trees", counting)
+    monkeypatch.setattr(penrose, "_layer_tally", recording)
     penrose_polynomial(g, o)
-    assert grown == sum(
-        abs(chromatic_deletion_contraction(g.induced(s)).coeff(1))
+    [counted] = tallies
+    want = {
+        sum(1 << v for v in s): abs(chromatic_deletion_contraction(g.induced(s)).coeff(1))
         for r in range(1, g.n + 1)
         for s in combinations(range(g.n), r)
-    )
+    }
+    assert sum(counted.values()) == sum(want.values())
+    assert +counted == +Counter(want)
+
+
+def _layering_cases():
+    # (g, o, roots, allowed): whole graphs from every root, and the trees
+    # through v of the general-v cases, from the usable roots not after v
+    whole = list(_scheme_cases())
+    for g in (complete_graph(8), icosahedron()):
+        whole += [(g, nat(g.n)), (g, VertexOrdering.from_order(random_ordering(g.n, 500 + g.n)))]
+    for g, o in whole:
+        yield g, o, o.order, range(g.n)
+    for g, o, v, allowed in _general_v_cases():
+        usable = set(range(g.n)) if allowed is None else allowed
+        yield g, o, [r for r in o.order[: o.rank[v] + 1] if r in usable], usable
+
+
+def test_layer_tally_matches_grown_tally():
+    # the layering and _closure_chords are two statements of the closure rule
+    for g, o, roots, allowed in _layering_cases():
+        trees = penrose._grow_trees(penrose._sorted_adj(g), o.rank, roots, allowed, True)
+        want = Counter(s for s, _, _ in trees)
+        assert penrose._layer_tally(adjacency_masks(g), o.rank, roots, allowed) == want
+
+
+def test_forest_counts_grow_no_tree(monkeypatch):
+    # the series' reference is the edge-count histogram of the grown trees
+    cases = [(complete_graph(7), 3), (octahedron(), 4), (random_graph(9, 0.5, seed=3), 5)]
+    series = []
+    for g, v in cases:
+        sizes = Counter(map(len, penrose_trees_containing(g, nat(g.n), v)))
+        series.append(tuple(sizes[k] for k in range(max(sizes) + 1)))
+
+    def no_growth(*args):
+        raise AssertionError("a tree was grown")
+        yield  # a generator, as the walk is
+
+    monkeypatch.setattr(penrose, "_grow_trees", no_growth)
+    for (g, v), want in zip(cases, series):
+        assert penrose_tree_series(g, nat(g.n), v) == want
+    for g in [*(g for g, _ in cases), icosahedron()]:
+        assert chromatic_via_penrose(g) == chromatic_deletion_contraction(g)
 
 
 @pytest.mark.parametrize("g, o", list(_scheme_cases()))
