@@ -24,7 +24,6 @@ give the series that ``genfun`` bounds.
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from . import chromatic
@@ -36,14 +35,13 @@ from .intpoly import IntPolynomial
 # measured at n = 12, over G(12, p) and structured graphs, took 0.3 s per order.
 DEFAULT_FOREST_CAP = 12
 
-# Largest partition-scheme scan verify_partition_scheme runs, counted as the
-# sum of 2^|E(R)| over the vertex subsets R it checks. The scan keeps two
-# bitsets of 2^|E(S)| bits for each vertex set S that the current root's
-# subtrees span, and each subtree costs a few operations on them, so near the
-# cap it takes about 2 MB more memory and seconds, not minutes: K9 at r_max 6
-# (2,890,344 masks) 0.8-1.2 s, K7 at r_max 7 (2,350,594 masks, one set of
-# 2^21) 3.5-5.7 s, on a 2-core Xeon. K8 at r_max 8 (286,192,504 masks) is
-# refused.
+# Largest partition-scheme scan verify_partition_scheme runs: the sum of
+# 2^|E(S)| over the vertex sets S its walk reaches, so a refusal names a lower
+# bound. The scan keeps two bitsets of 2^|E(S)| bits per vertex set the current
+# root's subtrees span, a few operations per subtree, so near the cap it takes
+# about 2 MB more memory and seconds: K9 at r_max 6 (2,890,344 masks) 0.6-1.2 s,
+# K7 at r_max 7 (2,350,594 masks, one set of 2^21) 2.7-5.7 s, on a 2-core Xeon.
+# K8 at r_max 8 is refused on reaching its first 8-vertex set, at 270,566,474.
 MAX_SCHEME_MASKS = 1 << 22
 
 
@@ -521,6 +519,10 @@ def ratio_R(g: Graph, u: int, z: complex) -> complex:
 
 @dataclass(frozen=True)
 class SchemeCounterexample:
+    """A failing vertex set, its lowest failing connected spanning edge set,
+    and the number of its spanning trees whose closure intervals hold that
+    edge set: 0 for a gap, 2 or more for an overlap."""
+
     subset: frozenset
     edge_set: frozenset
     containing_trees: int
@@ -528,6 +530,10 @@ class SchemeCounterexample:
 
 @dataclass(frozen=True)
 class SchemeReport:
+    """subsets_checked counts the vertex subsets with 2 to r_max vertices;
+    edge_sets_checked counts the connected spanning edge sets of each such
+    vertex set once. counterexample is None exactly when passed."""
+
     passed: bool
     subsets_checked: int
     edge_sets_checked: int
@@ -537,48 +543,37 @@ class SchemeReport:
 def verify_partition_scheme(
     g: Graph, ordering: VertexOrdering | None = None, r_max: int = 6
 ) -> SchemeReport:
-    """Check the interval partition of connected edge sets, subset by subset.
+    """Check the interval partition of connected edge sets, once per vertex set.
 
     For every vertex subset R with 2 to r_max vertices, every connected
     spanning subset of the induced edge set E(R) must lie in the closure
     interval [T, closure(T)] of exactly one spanning tree T. Spanning means
-    covering the vertices that E(R) touches, R's support S; E(R) = E(S).
+    covering R's support S, the vertices E(R) touches. As E(R) = E(S), R has
+    S's edge sets and spanning trees, so one check of each S covers every R
+    on it; only a connected S has any. r_max below 2 raises DomainError.
 
-    The subsets R are walked once, before any tree is grown: the walk adds
-    up the scan's size, the sum of 2^|E(R)|, refused above MAX_SCHEME_MASKS
-    with EnumerationCapError (at once when the subset count alone is above
-    it), and counts the subsets on each support. r_max below 2 checks
-    nothing and raises DomainError.
+    Every subtree with at most r_max vertices is grown once, from its
+    order-least vertex, with the closure chords collected as it grew, the
+    free edges of its interval, and folded into the bitsets of its vertex
+    set S (see _IntervalScan). Each S adds 2^|E(S)| to the scan's size when
+    first reached; once the sum passes MAX_SCHEME_MASKS, EnumerationCapError
+    names it, a lower bound. A spanning tree of S is a subset of E(S), so
+    the trees grown by then never outnumber the masks counted.
 
-    Every subtree with at most r_max vertices is then grown once, from its
-    order-least vertex, with the closure chords collected as it grew, which
-    are the free edges of its interval. The subtrees of one root are checked
-    together, each folded into the bitsets of its vertex set S as it is
-    grown (see _IntervalScan); of each S only its count of connected
-    spanning edge sets and its first failure are kept. A pass adds up the
-    counts of the subsets' supports, 0 for a support no tree spans. A failure
-    walks the subsets again to the first failing one, whose counterexample
-    counts the intervals holding its edge set by growing its trees again.
+    A failure names the failing S that comes first by size, then as a sorted
+    vertex tuple, which is the first failing R by size, then in lexicographic
+    order: a failing R's support fails too, has at most |R| vertices and is
+    its own support, so the least failing R is a support. The intervals
+    holding S's lowest failing edge set are counted by growing S's trees again.
     """
     if r_max < 2:
         raise DomainError(f"r_max must be at least 2, got {r_max}")
     ordering = _checked_ordering(g, ordering)
     top = min(r_max, g.n)
-    subsets = size = sum(comb(g.n, r) for r in range(2, top + 1))
-    if size <= MAX_SCHEME_MASKS:
-        on_support = Counter()  # support bitmask -> subsets R with it
-        walk = _subset_supports(g, top)
-        size = 0
-        for _, support, m in walk:
-            on_support[support] += 1
-            size += 1 << m
-            if size > MAX_SCHEME_MASKS:  # refused: count the rest, keep nothing
-                size += sum(1 << m for _, _, m in walk)
-    if size > MAX_SCHEME_MASKS:
-        raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
     adj = _sorted_adj(g)
     rank = ordering.rank
-    checked = {}  # vertex bitmask S -> _IntervalScan.result()
+    size = edge_sets = 0
+    failures = []  # (|S|, S's sorted vertices, S, lowest bad mask)
     for r in ordering.order:
         scans: dict[int, _IntervalScan] = {}
         for s, tree, chords in _grow_trees(adj, rank, (r,), range(g.n), False, top):
@@ -586,40 +581,19 @@ def verify_partition_scheme(
                 scan = scans.get(s)
                 if scan is None:
                     scan = scans[s] = _IntervalScan(adj, s)
+                    size += 1 << len(scan.edges)
+                    if size > MAX_SCHEME_MASKS:
+                        raise EnumerationCapError("partition scheme scan", size, MAX_SCHEME_MASKS)
                 scan.add(tree, chords)
         for s, scan in scans.items():
-            checked[s] = scan.result()
-    if all(bad is None for _, bad, _ in checked.values()):
-        edge_sets = sum(on_support[s] * count for s, (count, _, _) in checked.items())
-        return SchemeReport(True, subsets, edge_sets, None)
-    subsets = edge_sets = 0  # a bad S fails at the latest at R = S, its own support
-    for rs, support, _ in _subset_supports(g, top):
-        subsets += 1
-        count, bad, before = checked.get(support, (0, None, 0))
-        if bad is not None:
-            return SchemeReport(
-                passed=False,
-                subsets_checked=subsets,
-                edge_sets_checked=edge_sets + before + 1,
-                counterexample=_counterexample(adj, rank, rs, support, bad),
-            )
-        edge_sets += count
-
-
-def _subset_supports(g: Graph, top: int):
-    """Yield (R, support bitmask, |E(R)|) for the vertex subsets R with 2 to
-    ``top`` vertices, by size and then in combinations order."""
-    bits = [1 << v for v in range(g.n)]
-    nbrs = adjacency_masks(g)
-    for r in range(2, top + 1):
-        for rs in combinations(range(g.n), r):
-            inside = sum(map(bits.__getitem__, rs))
-            support = ends = 0
-            for v in rs:
-                touched = nbrs[v] & inside
-                support |= touched
-                ends += touched.bit_count()
-            yield rs, support, ends >> 1
+            count, bad = scan.result()
+            edge_sets += count
+            if bad is not None:
+                vs = [v for v in range(s.bit_length()) if s >> v & 1]
+                failures.append((len(vs), vs, s, bad))
+    subsets = sum(comb(g.n, k) for k in range(2, top + 1))
+    first = _counterexample(adj, rank, *min(failures)[2:]) if failures else None
+    return SchemeReport(first is None, subsets, edge_sets, first)
 
 
 class _IntervalScan:
@@ -658,9 +632,8 @@ class _IntervalScan:
         self.twice |= self.once & iv
         self.once |= iv
 
-    def result(self) -> tuple[int, int | None, int]:
-        """(connected spanning masks, lowest bad mask or None, spanning
-        masks below it)."""
+    def result(self) -> tuple[int, int | None]:
+        """(connected spanning masks, lowest bad mask or None)."""
         spans = self.once
         size = 1 << len(self.edges)
         for b in self.bit.values():
@@ -670,13 +643,10 @@ class _IntervalScan:
                 width <<= 1
             spans |= (spans & low) << b
         bad = (spans ^ self.once) | self.twice
-        if not bad:
-            return spans.bit_count(), None, 0
-        x = (bad & -bad).bit_length() - 1
-        return spans.bit_count(), x, (spans & ((1 << x) - 1)).bit_count()
+        return spans.bit_count(), (bad & -bad).bit_length() - 1 if bad else None
 
 
-def _counterexample(adj, rank, rs, s: int, x: int) -> SchemeCounterexample:
+def _counterexample(adj, rank, s: int, x: int) -> SchemeCounterexample:
     """The edge mask x over the vertex set s, with the number of spanning
     trees of s whose intervals hold it; the trees are grown again."""
     scan = _IntervalScan(adj, s)
@@ -688,7 +658,7 @@ def _counterexample(adj, rank, rs, s: int, x: int) -> SchemeCounterexample:
         if t == s
     )
     return SchemeCounterexample(
-        subset=frozenset(rs),
+        subset=frozenset(vs),
         edge_set=frozenset(e for e in scan.edges if x & scan.bit[e]),
         containing_trees=containing,
     )

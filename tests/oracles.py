@@ -147,19 +147,23 @@ def verify_partition_scheme_scan(
     """The interval partition check by brute force: every (k-1)-subset of the
     induced edges is tested for being a spanning tree, every edge mask for
     being connected and spanning, and every connected spanning set against
-    every tree interval."""
+    every tree interval. A subset R that is not its own support S, the
+    vertices its edges touch, is counted and skipped: its edge sets and
+    trees are exactly S's, so its check repeats S's. The scan runs to the
+    end and keeps the first failing set."""
     if ordering is None:
         ordering = VertexOrdering.natural(g.n)
     subsets = 0
     edge_sets = 0
+    counterexample = None
     for r in range(2, min(r_max, g.n) + 1):
         for rset in combinations(range(g.n), r):
             rs = set(rset)
             er = sorted(e for e in g.edges if e[0] in rs and e[1] in rs)
             subsets += 1
-            if not er:
-                continue
             support = sorted({x for e in er for x in e})
+            if support != list(rset):
+                continue
             k = len(support)
             trees = []
             for cand in combinations(er, k - 1):
@@ -204,22 +208,17 @@ def verify_partition_scheme_scan(
                 edge_sets += 1
                 cset = frozenset(chosen)
                 hits = sum(1 for t, clo in trees if t <= cset <= clo)
-                if hits != 1:
-                    return SchemeReport(
-                        passed=False,
-                        subsets_checked=subsets,
-                        edge_sets_checked=edge_sets,
-                        counterexample=SchemeCounterexample(
-                            subset=frozenset(rs),
-                            edge_set=cset,
-                            containing_trees=hits,
-                        ),
+                if hits != 1 and counterexample is None:
+                    counterexample = SchemeCounterexample(
+                        subset=frozenset(rs),
+                        edge_set=cset,
+                        containing_trees=hits,
                     )
     return SchemeReport(
-        passed=True,
+        passed=counterexample is None,
         subsets_checked=subsets,
         edge_sets_checked=edge_sets,
-        counterexample=None,
+        counterexample=counterexample,
     )
 
 

@@ -271,18 +271,19 @@ class TestVerifyScheme:
         code, out, err = run(capsys, "verify-scheme", path, "--rmax", "8")
         assert code == 2
         assert out == ""
-        assert "286192504" in err and str(1 << 22) in err
+        # the scan's size when the walk reached K8's first 8-vertex set
+        assert "size 270566474 " in err and str(1 << 22) in err
 
-    def test_subset_count_above_cap_refused_at_once(self, tmp_path, capsys):
-        # C80 has 326,207,116 subsets of 2 to 6 vertices, each at least one
-        # mask; counting their edges first took minutes
+    def test_sparse_graph_past_subset_count_runs(self, tmp_path, capsys):
+        # C80 has 326,207,116 subsets of 2 to 6 vertices, which a check per
+        # subset refused; its 400 connected edge sets are checked at once
         path = gfile(tmp_path, "c80.txt", cycle_graph(80))
         start = time.perf_counter()
         code, out, err = run(capsys, "verify-scheme", path, "--max-enum", "80")
-        assert time.perf_counter() - start < 1.0
-        assert code == 2
-        assert out == ""
-        assert "326207116" in err and str(1 << 22) in err
+        assert time.perf_counter() - start < 5.0
+        assert code == 0 and err == ""
+        assert "partition check: pass (subsets 326207116, connected edge sets 400)" in out
+        assert "forest identity check: pass (2 orderings)" in out
 
     @pytest.mark.parametrize("g", [path_graph(30), cycle_graph(30)], ids=["P30", "C30"])
     def test_sparse_forest_count_follows_the_tally(self, tmp_path, capsys, g):

@@ -478,20 +478,6 @@ class TestPartitionScheme:
         o = VertexOrdering.from_order(random_ordering(6, 99))
         assert verify_partition_scheme(g, o, r_max=5).passed
 
-    def test_refused_size_stops_counting_supports(self):
-        # K14 has 15,899 subsets of 2 to 10 vertices, whose sizes pass the
-        # cap 64 subsets into the 6-subsets; counting every support would
-        # peak near 1.2 MB, stopping there at about 0.3 MB
-        tracemalloc.start()
-        try:
-            with pytest.raises(EnumerationCapError, match="35357946262965846"):
-                verify_partition_scheme(complete_graph(14), r_max=10)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 600 * 1024
-
-
 def _scheme_cases():
     # the last three have subsets whose support is a smaller set or disconnected
     graphs = scheme_corpus() + [
@@ -583,22 +569,27 @@ def test_forest_counts_grow_no_tree(monkeypatch):
         assert chromatic_via_penrose(g) == chromatic_deletion_contraction(g)
 
 
-@pytest.mark.parametrize("g, o", list(_scheme_cases()))
-def test_each_subtree_grown_once_per_scheme_check(monkeypatch, g, o):
-    # every subtree of 2 to r_max vertices spans one vertex set S; the root
-    # alone, which each growth yields first, is not counted
-    grown = 0
+def _count_grown_trees(monkeypatch) -> Counter:
+    """Wrap the tree walk; the returned Counter's "trees" counts the trees it
+    grows, without the root alone that each growth yields first."""
+    grown = Counter()
     grow = penrose._grow_trees
 
     def counting(*args):
-        nonlocal grown
         for s, tree, chords in grow(*args):
-            grown += bool(tree)
+            grown["trees"] += bool(tree)
             yield s, tree, chords
 
     monkeypatch.setattr(penrose, "_grow_trees", counting)
+    return grown
+
+
+@pytest.mark.parametrize("g, o", list(_scheme_cases()))
+def test_each_subtree_grown_once_per_scheme_check(monkeypatch, g, o):
+    # every subtree of 2 to r_max vertices spans one vertex set S
+    grown = _count_grown_trees(monkeypatch)
     assert verify_partition_scheme(g, o, r_max=6).passed
-    assert grown == spanning_tree_total(g, 6)
+    assert grown["trees"] == spanning_tree_total(g, 6)
 
 
 @pytest.mark.parametrize("max_vertices", [None, 1, 2, 6])
@@ -613,31 +604,34 @@ def test_walk_yields_vertex_bitmask(penrose_only, max_vertices):
 
 
 @pytest.mark.parametrize(
-    "g, r_max, chords, passes",
-    [
-        (complete_graph(6), 6, None, 1),
-        (path_graph(30), 6, None, 1),
-        (cycle_graph(40), 5, None, 1),
-        (complete_graph(4), 6, _no_chords, 2),
-    ],
-    ids=["K6", "P30", "C40", "K4-gaps"],
+    "g, r_max", [(complete_graph(8), 8), (complete_graph(14), 10)], ids=["K8", "K14"]
 )
-def test_subset_walks_per_scheme_check(monkeypatch, g, r_max, chords, passes):
-    # one walk sizes the scan and counts the supports, from which a passing
-    # check is reported; only a failing one walks again to its first failure
-    walks = 0
-    supports = penrose._subset_supports
+def test_refused_scan_grows_few_trees(monkeypatch, g, r_max):
+    # the stars at vertex 0 on {0, 1}, {0, 1, 2}, ... reach the first
+    # 8-vertex set, 2^28 masks, with the 7th tree; walking every subset first
+    # cost their count in time and, counting their supports, memory. The peak
+    # is the 7-vertex set's bitsets of 2^21 bits, 256 KB each, about 0.7 MB
+    grown = _count_grown_trees(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError, match="size 270566474 "):
+            verify_partition_scheme(g, r_max=r_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert grown["trees"] == 7
+    assert peak < 800 * 1024
 
-    def counting(*args):
-        nonlocal walks
-        walks += 1
-        return supports(*args)
 
-    monkeypatch.setattr(penrose, "_subset_supports", counting)
-    if chords is not None:
-        monkeypatch.setattr(penrose, "_closure_chords", chords)
-    assert verify_partition_scheme(g, r_max=r_max).passed == (chords is None)
-    assert walks == passes
+@pytest.mark.parametrize(
+    "g, r_max", [(path_graph(30), 6), (cycle_graph(40), 5)], ids=["P30", "C40"]
+)
+def test_sparse_scan_follows_its_trees(g, r_max):
+    # 768,181 and 760,058 subsets but 135 and 160 connected edge sets; a walk
+    # over every subset took 1.2 s and 1.0 s
+    start = time.perf_counter()
+    assert verify_partition_scheme(g, r_max=r_max).passed
+    assert time.perf_counter() - start < 0.5
 
 
 class TestPartitionSchemeAgainstScan:
