@@ -7,6 +7,10 @@ disk). Every command accepts --json for a machine-readable document with
 sorted keys and 6-decimal floats; identical inputs give byte-identical
 output, since nothing but the command line and the graph file is read.
 
+A command named first is parsed by its own parser alone; no argument,
+``--help`` or an unknown name go through the whole parser. Help, usage and
+error text are the same either way.
+
 ``--max-enum N`` is the one vertex cap of analyze, roots and verify-scheme:
 the chromatic oracle, Penrose forest counting and the scheme scan all refuse
 a graph above it, and a negative N exits 1. Its default is each command's
@@ -208,6 +212,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_table1(args) -> int:
+    if args.check and abs(args.step - 0.1) > 1e-12:
+        raise DomainError("--check requires --step 0.1")
     rows = constants_table(args.step)
     doc_rows = [
         {
@@ -228,8 +234,6 @@ def cmd_table1(args) -> int:
     doc: dict = {"step": _r6(args.step), "rows": doc_rows}
     status = 0
     if args.check:
-        if abs(args.step - 0.1) > 1e-12:
-            raise DomainError("--check requires --step 0.1")
         worst = 0.0
         for got, ref in zip(rows, REFERENCE_TABLE):
             for attr in ("c_class0", "c_class1", "a_star0", "a_star1"):
@@ -320,7 +324,10 @@ def cmd_roots(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing never changes it."""
+    """The argument parser, built once per process; parsing never changes it.
+
+    Its ``commands`` attribute maps each command name to the parser added for
+    that command."""
     p = argparse.ArgumentParser(
         prog="chromadisk",
         description="Zero-free disks for chromatic polynomials of claw-free graphs.",
@@ -365,13 +372,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pr.add_argument("--json", action="store_true")
     pr.set_defaults(func=cmd_roots)
+    p.commands = sub.choices
     return p
 
 
-def main(argv=None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, but a command named first is
+    parsed by its own parser alone, which skips the top-level pass."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:  # reported as the whole parser's parse_args reports them
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:

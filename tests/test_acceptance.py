@@ -92,14 +92,14 @@ def test_criterion_2_degenerate_pair_endpoint():
     a_err = max(abs(res.a_star - 1.0 / 3.0) for res in results)
 
     # With no independent neighbor pairs the threshold solve is linear, so
-    # bisection must land on a / (1 - a) capped at one half.
+    # the root solve must land on a / (1 - a) capped at one half.
     x_err = 0.0
     for j in range(1, 50):
         a = j / 100.0
         x_err = max(x_err, abs(solve_x(0, Fraction(0), a) - solve_x_linear(a)))
 
     ok = c_err <= 5e-7 and a_err <= 1e-6 and x_err <= 1e-9
-    _verdict(2, ok, f"C err {c_err:.1e}, a* err {a_err:.1e}, bisection err {x_err:.1e}")
+    _verdict(2, ok, f"C err {c_err:.1e}, a* err {a_err:.1e}, threshold err {x_err:.1e}")
     assert c_err <= 5e-7
     assert a_err <= 1e-6
     assert x_err <= 1e-9

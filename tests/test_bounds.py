@@ -18,7 +18,7 @@ from chromadisk import (
     solve_x,
     solve_x_linear,
 )
-from chromadisk.bounds import MAX_TABLE_ROWS
+from chromadisk.bounds import MAX_TABLE_ROWS, X_BISECTION_TOL, X_CAP_SLACK
 from oracles import minimize_c_nested
 
 TOL = 5e-6
@@ -76,6 +76,46 @@ class TestThreshold:
         for a in (0.2, 1 / 3, 0.4):
             xs = [solve_x(0, k, a) for k in (0.0, 0.3, 0.6, 1.0)]
             assert all(b <= a_ for a_, b in zip(xs, xs[1:]))
+
+
+class TestThresholdContract:
+    KAPPAS = [j / 20 for j in range(21)]
+    AS = [j / 100 for j in range(26, 46)]
+
+    @pytest.mark.parametrize("class_index", [0, 1])
+    def test_feasible_and_maximal(self, class_index):
+        for kappa in self.KAPPAS:
+            for a in self.AS:
+                x = solve_x(class_index, kappa, a)
+                if ratio_bound(class_index, kappa, a, 0.5) <= a + X_CAP_SLACK:
+                    assert x == 0.5
+                    continue
+                assert ratio_bound(class_index, kappa, a, x) <= a
+                assert a < ratio_bound(class_index, kappa, a, x + 1e-12)
+
+    def test_cap_is_exact(self):
+        # kappa = 0: B(a, 1/2) = (1 - a) / 2, within the slack of a from a = 1/3 up
+        for a in (1 / 3, 0.34, 0.5, 0.99):
+            for i in (0, 1):
+                assert solve_x(i, 0.0, a) == 0.5
+
+    def test_collapse_below_tolerance(self):
+        for a in (1e-300, 1e-15, 5e-14):
+            for i in (0, 1):
+                assert solve_x(i, 0.5, a) == 0.0
+        x = solve_x(0, 0.5, 1e-12)
+        assert X_BISECTION_TOL <= x <= 1e-12 / (1 - 1e-12)
+        assert ratio_bound(0, 0.5, 1e-12, x) <= 1e-12
+
+    def test_extreme_inputs_end(self):
+        # the root finder stops on a bracket of a few ulps wherever the root lies
+        for kappa in (5e-324, 1e-300, 1e-12, 1.0):
+            for a in (1e-300, 1e-13, 0.3, 1 - 1e-16):
+                for i in (0, 1):
+                    assert 0.0 <= solve_x(i, kappa, a) <= 0.5
+            for i in (0, 1):
+                r = minimize_c(i, kappa)
+                assert 0.0 < r.x_star <= 0.5 and 2.9 < r.c_star < 3.81
 
 
 class TestPerAConstants:
@@ -139,6 +179,15 @@ class TestMinimization:
             assert ratio_bound(i, kappa, r.a_star, r.x_star) == pytest.approx(
                 r.a_star, abs=1e-9
             )
+
+    @pytest.mark.parametrize("class_index", [0, 1])
+    def test_interior_optimum_is_a_maximum(self, class_index):
+        # x* maximises x s+(x), so C(a*) is the least of the C(a) around it
+        for kappa in [j / 20 for j in range(1, 21)]:
+            r = minimize_c(class_index, kappa)
+            assert r.x_star < 0.5
+            for a in (r.a_star - 1e-4, r.a_star + 1e-4):
+                assert fixed_a_bound(class_index, kappa, a).c_star >= r.c_star
 
     def test_class1_never_above_class0(self):
         for kappa in (0.0, 0.25, 0.5, 0.75, 1.0):

@@ -199,6 +199,19 @@ class TestTable:
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:]))
         assert all(r["c1"] <= r["c0"] + 1e-9 for r in rows)
 
+    def test_check_refuses_wrong_step_before_solving(self, capsys, monkeypatch):
+        calls = []
+
+        def stub(class_index, kappa):
+            calls.append(kappa)
+            return bounds.minimize_c(class_index, kappa)
+
+        monkeypatch.setattr(bounds, "minimize_c", stub)
+        code, out, err = run(capsys, "table1", "--step", "0.0001", "--check")
+        assert (code, out) == (1, "")
+        assert err == "error: --check requires --step 0.1\n"
+        assert calls == []
+
     def test_non_dividing_step_exits_one(self, capsys):
         code, _, err = run(capsys, "table1", "--step", "0.3")
         assert code == 1
@@ -433,3 +446,35 @@ class TestParser:
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1
+
+    PARSE_EXITS = [
+        [],
+        ["--help"],
+        ["nope"],
+        ["analyze", "--help"],
+        ["analyze"],
+        ["bounds", "--help"],
+        ["bounds", "--class", "0"],
+        ["bounds", "--class", "2", "--kappa", "0.5"],
+        ["bounds", "--class", "0", "--kappa", "0.5", "--bogus"],
+        ["table1", "--help"],
+        ["table1", "--step", "x"],
+        ["verify-scheme", "--help"],
+        ["verify-scheme", "g.txt", "--rmax"],
+        ["roots", "--help"],
+        ["roots", "g.txt", "--max-enum", "many"],
+    ]
+
+    @pytest.mark.parametrize("argv", PARSE_EXITS, ids=lambda argv: " ".join(argv) or "no-args")
+    def test_command_parse_matches_top_level(self, capsys, argv):
+        # a command named first is parsed by its own parser; what it prints
+        # and how it exits must be what the whole parser gives
+        try:
+            cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            want_code = 1 if exc.code not in (0, None) else 0
+        else:
+            pytest.fail("expected the parse to exit")
+        want = capsys.readouterr()
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (want_code, want.out, want.err)
