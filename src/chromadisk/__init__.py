@@ -17,12 +17,10 @@ from .bounds import (
     minimize_c,
     ratio_bound,
     solve_x,
-    solve_x_linear,
 )
 from .chromatic import (
     PolynomialRoot,
     chromatic_deletion_contraction,
-    count_proper_colorings,
     polynomial_roots,
 )
 from .errors import (
@@ -51,8 +49,6 @@ from .graphs import (
     is_diamond_free,
     is_square_free,
     neighborhood_stats,
-    non_edges_in_neighborhood,
-    pair_independence_ratio,
     parse_graph,
 )
 from .intpoly import IntPolynomial
@@ -109,7 +105,6 @@ __all__ = [
     "chromatic_via_penrose",
     "classify",
     "constants_table",
-    "count_proper_colorings",
     "degree_tree_bound",
     "enumerate_penrose_forests",
     "envelope_bound",
@@ -125,9 +120,7 @@ __all__ = [
     "kappa_for_bounds",
     "minimize_c",
     "neighborhood_stats",
-    "non_edges_in_neighborhood",
     "obstruction_check",
-    "pair_independence_ratio",
     "parse_graph",
     "penrose_closure",
     "penrose_polynomial",
@@ -137,7 +130,6 @@ __all__ = [
     "ratio_R",
     "ratio_bound",
     "solve_x",
-    "solve_x_linear",
     "tree_count_table",
     "tree_series",
     "verify_partition_scheme",

@@ -157,12 +157,6 @@ def solve_x(class_index: int, kappa, a: float) -> float:
     return x if x >= X_BISECTION_TOL else 0.0
 
 
-def solve_x_linear(a: float) -> float:
-    """Closed form for kappa = 0: a / (1 - a), capped at 1/2."""
-    _check_a(a)
-    return min(a / (1.0 - a), 0.5)
-
-
 @dataclass(frozen=True)
 class BoundResult:
     """Disk constant C = 1 / ((1 - a) x) at a parameter a and its threshold x.

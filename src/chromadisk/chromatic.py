@@ -114,26 +114,6 @@ def chromatic_deletion_contraction(
     return _transfer(adjacency_masks(g))
 
 
-def count_proper_colorings(g: Graph, q: int) -> int:
-    """Direct backtracking count of proper q-colorings; cross-check oracle."""
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    color = [-1] * g.n
-
-    def rec(i: int) -> int:
-        if i == g.n:
-            return 1
-        v = order[i]
-        total = 0
-        for c in range(q):
-            if all(color[w] != c for w in g.adj[v]):
-                color[v] = c
-                total += rec(i + 1)
-                color[v] = -1
-        return total
-
-    return rec(0)
-
-
 @dataclass(frozen=True)
 class PolynomialRoot:
     value: complex

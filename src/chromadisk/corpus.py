@@ -1,25 +1,16 @@
-"""Graph generators and the fixed families the verification suites run over.
+"""Graph builders: the named families, seeded random graphs, and isomorphism classes.
 
-Everything here is deterministic: random graphs take explicit seeds, and the
-named corpora are built the same way on every call. ``iso_distinct`` keeps
-one graph per isomorphism class, bucketing by ``graphs.refinement_certificate``
-and deciding with ``graphs.isomorphic``; ``all_graphs_up_to_iso`` memoises
-its classes for the process.
+Everything here is deterministic: random graphs take explicit seeds.
+``iso_distinct`` keeps one graph per isomorphism class, bucketing by
+``graphs.refinement_certificate`` and deciding with ``graphs.isomorphic``.
+``scheme_corpus`` is the fixed mix of small graphs the partition-scheme
+checks run over.
 """
 
-import functools
 import random
 from itertools import combinations
 
-from .graphs import (
-    Graph,
-    adjacency_masks,
-    classify,
-    components,
-    is_claw_free,
-    isomorphic,
-    refinement_certificate,
-)
+from .graphs import Graph, adjacency_masks, isomorphic, refinement_certificate
 
 
 def complete_graph(n: int) -> Graph:
@@ -140,12 +131,6 @@ def random_connected_graph(n: int, extra_edges: int, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_ordering(n: int, seed: int) -> list[int]:
-    order = list(range(n))
-    random.Random(seed).shuffle(order)
-    return order
-
-
 def iso_distinct(graphs) -> list[Graph]:
     """The first graph of each isomorphism class, in input order.
 
@@ -163,31 +148,6 @@ def iso_distinct(graphs) -> list[Graph]:
         if not any(isomorphic(adj, labels, *seen) for seen in bucket):
             bucket.append((adj, labels))
             out.append(g)
-    return out
-
-
-@functools.cache
-def all_graphs_up_to_iso(n: int) -> tuple[Graph, ...]:
-    """Every isomorphism class on exactly n vertices; intended for n <= 6."""
-    pairs = list(combinations(range(n), 2))
-    graphs = []
-    for mask in range(1 << len(pairs)):
-        edges = [e for i, e in enumerate(pairs) if mask >> i & 1]
-        graphs.append(Graph(n, edges))
-    return tuple(iso_distinct(graphs))
-
-
-def connected_graphs_with_edges(m_max: int) -> list[Graph]:
-    """Connected graphs with 1..m_max edges, one per isomorphism class.
-
-    A connected graph with m edges has at most m + 1 vertices, so scanning
-    vertex counts up to m_max + 1 is exhaustive.
-    """
-    out = []
-    for n in range(2, m_max + 2):
-        for g in all_graphs_up_to_iso(n):
-            if 1 <= g.m <= m_max and len(components(adjacency_masks(g))) == 1:
-                out.append(g)
     return out
 
 
@@ -209,91 +169,3 @@ def scheme_corpus() -> list[Graph]:
         random_graph(8, 0.4, seed=7),
         random_connected_graph(8, 5, seed=23),
     ]
-
-
-def claw_free_corpus() -> list[Graph]:
-    """Claw-free graphs on at most 8 vertices for the merge-obstruction checks."""
-    cands = [
-        complete_graph(3),
-        complete_graph(4),
-        complete_graph(5),
-        diamond_graph(),
-        path_graph(4),
-        path_graph(6),
-        cycle_graph(4),
-        cycle_graph(5),
-        cycle_graph(6),
-        cycle_graph(7),
-        cycle_graph(8),
-        chorded_cycle(7),
-        octahedron(),
-        prism_graph(),
-    ]
-    cands += connected_line_graph_family(max_line_vertices=8)
-    return iso_distinct([g for g in cands if is_claw_free(g)])
-
-
-def connected_line_graph_family(max_line_vertices: int = 8) -> list[Graph]:
-    """Line graphs of all connected graphs with up to 5 edges, plus two
-    seeded 6-edge ones."""
-    hs = connected_graphs_with_edges(5)
-    hs.append(random_connected_graph(5, 2, seed=3))
-    hs.append(random_connected_graph(6, 1, seed=5))
-    out = [line_graph(h) for h in hs]
-    return [g for g in out if 1 <= g.n <= max_line_vertices]
-
-
-def g1_corpus() -> list[Graph]:
-    """Claw-free, square-free, diamond-free graphs on at most 8 vertices."""
-    cands = [
-        complete_graph(2),
-        complete_graph(3),
-        complete_graph(4),
-        complete_graph(5),
-        complete_graph(6),
-        path_graph(3),
-        path_graph(5),
-        path_graph(7),
-        cycle_graph(5),
-        cycle_graph(6),
-        cycle_graph(7),
-        cycle_graph(8),
-        chorded_cycle(7),
-        chorded_cycle(8),
-    ]
-    return iso_distinct([g for g in cands if classify(g).class_index == 1])
-
-
-def certificate_corpus() -> list[Graph]:
-    """Claw-free graphs on at most 12 vertices with max degree >= 3 for the
-    zero-free disk checks."""
-    cands = [
-        complete_graph(4),
-        complete_graph(5),
-        complete_graph(6),
-        complete_graph(7),
-        diamond_graph(),
-        chorded_cycle(7),
-        chorded_cycle(9),
-        octahedron(),
-        prism_graph(),
-        wheel_graph(5),
-        antiprism_graph(4),
-        line_graph(complete_graph(5)),
-        line_graph(random_connected_graph(6, 2, seed=17)),
-        line_graph(random_connected_graph(7, 1, seed=29)),
-    ]
-    cands += connected_line_graph_family(max_line_vertices=12)
-    cands.append(icosahedron())
-    return iso_distinct([g for g in cands if g.max_degree() >= 3 and is_claw_free(g)])
-
-
-def random_graph_batch(count: int = 200, sizes=(6, 7, 8)) -> list[Graph]:
-    """Seeded random graphs cycling through the given sizes and densities."""
-    densities = (0.3, 0.5, 0.7)
-    out = []
-    for i in range(count):
-        n = sizes[i % len(sizes)]
-        p = densities[(i // len(sizes)) % len(densities)]
-        out.append(random_graph(n, p, seed=1000 + i))
-    return out

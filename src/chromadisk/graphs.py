@@ -6,10 +6,10 @@ of non-adjacent vertices inside a neighborhood or a common neighborhood, so
 their cost grows with the number of vertices times the square of the maximum
 degree rather than with the number of vertex quadruples.
 
-The functions at the end work on adjacency bitmasks: connected components,
-a refinement certificate that isomorphic graphs share, and an exact
-isomorphism test; ``corpus.iso_distinct`` buckets graphs with the two. No
-other module refines or tests isomorphism itself.
+The functions at the end work on adjacency bitmasks: a refinement
+certificate that isomorphic graphs share, and an exact isomorphism test;
+``corpus.iso_distinct`` buckets graphs with the two. No other module refines
+or tests isomorphism itself.
 """
 
 from dataclasses import dataclass
@@ -253,19 +253,13 @@ def classify(g: Graph) -> ClassMembership:
     return ClassMembership(claw_free=cf, square_free=sf, diamond_free=df, class_index=idx)
 
 
-def non_edges_in_neighborhood(g: Graph, v: int) -> frozenset:
-    """Unordered pairs of neighbors of v that are not adjacent to each other."""
-    ns = sorted(g.adj[v])
-    return frozenset((a, b) for a, b in combinations(ns, 2) if b not in g.adj[a])
-
-
 @dataclass(frozen=True)
 class NeighborhoodStats:
     """Per-vertex non-edge counts inside neighborhoods and their normalized max.
 
-    kappa = max_v |I_v| / floor(delta^2 / 4) as an exact rational, where I_v is
-    the set of non-edges among the neighbors of v. The value is not clamped;
-    it exceeds 1 only for graphs with a claw.
+    kappa, the pair independence ratio, is max_v |I_v| / floor(delta^2 / 4) as
+    an exact rational, where I_v is the set of non-edges among the neighbors
+    of v. The value is not clamped; it exceeds 1 only for graphs with a claw.
     """
 
     delta: int
@@ -289,11 +283,6 @@ def neighborhood_stats(g: Graph) -> NeighborhoodStats:
     return NeighborhoodStats(delta=delta, i_v=counts, kappa=kappa)
 
 
-def pair_independence_ratio(g: Graph) -> Fraction:
-    """Exact kappa; raises DegenerateDegreeError when max degree <= 1."""
-    return neighborhood_stats(g).kappa
-
-
 # Adjacency bitmasks: adj[v] has bit w set when v and w are adjacent. The
 # chromatic oracle works on graphs in this form.
 
@@ -314,23 +303,6 @@ def _bits(mask: int) -> list[int]:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return out
-
-
-def components(adj) -> list[int]:
-    """Vertex bitmasks of the connected components, by least vertex."""
-    out = []
-    rest = (1 << len(adj)) - 1
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for v in _bits(frontier):
-                reach |= adj[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        out.append(comp)
-        rest &= ~comp
     return out
 
 

@@ -506,8 +506,7 @@ def ratio_R(g: Graph, u: int, z: complex) -> complex:
     Raises ConditioningError when the denominator is within 1e-9 of zero
     relative to the coefficient mass at |z|.
     """
-    if not (0 <= u < g.n):
-        raise ValueError(f"vertex {u} out of range")
+    _check_vertices(g, (u,))
     f_all = forest_polynomial(g)
     f_del = forest_polynomial(g.without_vertex(u))
     denom = f_del(complex(z))

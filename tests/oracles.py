@@ -17,6 +17,7 @@ from itertools import combinations
 from chromadisk import (
     BoundResult,
     ContractViolationError,
+    DomainError,
     Graph,
     RootedTreeView,
     VertexOrdering,
@@ -112,6 +113,32 @@ def neighborhood_complement_claw_free(g: Graph) -> bool:
             if (a, b) in comp and (a, c) in comp and (b, c) in comp:
                 return False
     return True
+
+
+def non_edges_in_neighborhood(g: Graph, v: int) -> frozenset:
+    """Unordered pairs of neighbors of v that are not adjacent to each other."""
+    ns = sorted(g.adj[v])
+    return frozenset((a, b) for a, b in combinations(ns, 2) if b not in g.adj[a])
+
+
+def count_proper_colorings(g: Graph, q: int) -> int:
+    """Direct backtracking count of proper q-colorings; cross-check oracle."""
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
+    color = [-1] * g.n
+
+    def rec(i: int) -> int:
+        if i == g.n:
+            return 1
+        v = order[i]
+        total = 0
+        for c in range(q):
+            if all(color[w] != c for w in g.adj[v]):
+                color[v] = c
+                total += rec(i + 1)
+                color[v] = -1
+        return total
+
+    return rec(0)
 
 
 def _induced_edge_count(g: Graph, quad) -> int:
@@ -278,6 +305,13 @@ def count_admissible_subtrees(d: int, m: int, n_max: int) -> list[int]:
         seen.add(sh)
         counts[s - 1] += 1
     return counts
+
+
+def solve_x_linear(a: float) -> float:
+    """Closed form of solve_x for kappa = 0: a / (1 - a), capped at 1/2."""
+    if not 0.0 < a < 1.0:
+        raise DomainError(f"a must lie in (0, 1), got {a}")
+    return min(a / (1.0 - a), 0.5)
 
 
 A_GOLDEN_TOL = 1e-9

@@ -9,7 +9,15 @@ import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from oracles import count_admissible_subtrees
+from corpora import (
+    all_graphs_up_to_iso,
+    certificate_corpus,
+    claw_free_corpus,
+    g1_corpus,
+    random_graph_batch,
+    random_ordering,
+)
+from oracles import count_admissible_subtrees, solve_x_linear
 
 from chromadisk import (
     BranchingParams,
@@ -31,7 +39,6 @@ from chromadisk import (
     polynomial_roots,
     ratio_R,
     solve_x,
-    solve_x_linear,
     tree_count_table,
     tree_series,
     verify_partition_scheme,
@@ -39,15 +46,9 @@ from chromadisk import (
 from chromadisk.bounds import REFERENCE_TABLE, TABLE_CHECK_TOL
 from chromadisk.cli import main
 from chromadisk.corpus import (
-    all_graphs_up_to_iso,
-    certificate_corpus,
-    claw_free_corpus,
     complete_graph,
-    g1_corpus,
     octahedron,
     prism_graph,
-    random_graph_batch,
-    random_ordering,
     scheme_corpus,
     wheel_graph,
 )

@@ -16,10 +16,9 @@ from chromadisk import (
     minimize_c,
     ratio_bound,
     solve_x,
-    solve_x_linear,
 )
 from chromadisk.bounds import MAX_TABLE_ROWS, X_BISECTION_TOL, X_CAP_SLACK
-from oracles import minimize_c_nested
+from oracles import minimize_c_nested, solve_x_linear
 
 TOL = 5e-6
 

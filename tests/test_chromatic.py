@@ -13,7 +13,6 @@ from chromadisk import (
     Graph,
     IntPolynomial,
     chromatic_deletion_contraction,
-    count_proper_colorings,
     polynomial_roots,
 )
 from chromadisk import chromatic
@@ -28,11 +27,12 @@ from chromadisk.corpus import (
     octahedron,
     path_graph,
     random_graph,
-    random_graph_batch,
     scheme_corpus,
     star_graph,
     wheel_graph,
 )
+from corpora import random_graph_batch
+from oracles import count_proper_colorings
 
 
 def _circulant(n, steps):

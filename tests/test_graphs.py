@@ -18,19 +18,15 @@ from chromadisk import (
     is_diamond_free,
     is_square_free,
     neighborhood_stats,
-    non_edges_in_neighborhood,
-    pair_independence_ratio,
     parse_graph,
 )
 from chromadisk.graphs import (
     MAX_VERTICES,
     adjacency_masks,
-    components,
     isomorphic,
     refinement_certificate,
 )
 from chromadisk.corpus import (
-    all_graphs_up_to_iso,
     claw_graph,
     complete_graph,
     cycle_graph,
@@ -42,13 +38,14 @@ from chromadisk.corpus import (
     path_graph,
     random_connected_graph,
     random_graph,
-    random_graph_batch,
     star_graph,
 )
+from corpora import all_graphs_up_to_iso, components, random_graph_batch
 from oracles import (
     is_diamond_free_scan,
     is_square_free_scan,
     neighborhood_complement_claw_free,
+    non_edges_in_neighborhood,
 )
 
 
@@ -247,24 +244,24 @@ class TestNeighborhoodStats:
         assert len(non_edges_in_neighborhood(claw_graph(), 0)) == 3
 
     def test_kappa_k4_is_zero(self):
-        assert pair_independence_ratio(complete_graph(4)) == 0
+        assert neighborhood_stats(complete_graph(4)).kappa == 0
 
     def test_kappa_c5_is_one(self):
-        assert pair_independence_ratio(cycle_graph(5)) == Fraction(1)
+        assert neighborhood_stats(cycle_graph(5)).kappa == Fraction(1)
 
     def test_kappa_claw_exceeds_one(self):
-        assert pair_independence_ratio(claw_graph()) == Fraction(3, 2)
+        assert neighborhood_stats(claw_graph()).kappa == Fraction(3, 2)
 
     def test_kappa_is_exact_rational(self):
-        k = pair_independence_ratio(octahedron())
+        k = neighborhood_stats(octahedron()).kappa
         assert isinstance(k, Fraction)
         assert k == Fraction(1, 2)
 
     def test_degenerate_degree_raises(self):
         with pytest.raises(DegenerateDegreeError):
-            pair_independence_ratio(Graph(3, [(0, 1)]))
+            neighborhood_stats(Graph(3, [(0, 1)])).kappa
         with pytest.raises(DegenerateDegreeError):
-            pair_independence_ratio(Graph(2, []))
+            neighborhood_stats(Graph(2, [])).kappa
 
     def test_stats_fields(self):
         s = neighborhood_stats(cycle_graph(5))
@@ -275,7 +272,7 @@ class TestNeighborhoodStats:
     def test_kappa_zero_iff_complete_neighborhoods(self):
         # complete graphs are the only connected claw-free graphs with kappa 0
         for n in (3, 4, 5, 6):
-            assert pair_independence_ratio(complete_graph(n)) == 0
+            assert neighborhood_stats(complete_graph(n)).kappa == 0
 
     def test_counts_match_listed_non_edges(self):
         graphs = [g for n in range(1, 7) for g in all_graphs_up_to_iso(n)]
@@ -322,7 +319,7 @@ class TestInvariants:
         h = g.relabel(perm)
         assert classify(g) == classify(h)
         if g.max_degree() >= 2:
-            assert pair_independence_ratio(g) == pair_independence_ratio(h)
+            assert neighborhood_stats(g).kappa == neighborhood_stats(h).kappa
 
     def test_claw_free_formulations_agree_on_all_small_graphs(self):
         # every labeled graph on up to 6 vertices

@@ -11,7 +11,6 @@ MUTABLE_ALLOWED = {"__all__"}
 # Functions memoised for the process; any other is module-level state.
 MEMOS = {
     "chromatic._transfer",  # exact-input oracle memo; minors and criterion 7 repeat calls
-    "corpus.all_graphs_up_to_iso",  # the isomorphism classes on n vertices, built once per n
     "cli.build_parser",  # the argument parser, which parsing never changes
 }
 
@@ -28,6 +27,24 @@ def test_no_private_names_imported_across_modules():
         if isinstance(node, ast.ImportFrom) and node.level > 0
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert not bad, "\n".join(bad)
+
+
+def test_no_test_modules_imported():
+    # the installed package ships without tests/, so it may not lean on it
+    test_modules = {"conftest", "corpora", "oracles", "tests"}
+    bad = [
+        f"{path}:{node.lineno}: imports {name}"
+        for path, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (
+            [node.module]
+            if isinstance(node, ast.ImportFrom) and node.module
+            else [alias.name for alias in node.names]
+        )
+        if name.split(".")[0] in test_modules
     ]
     assert not bad, "\n".join(bad)
 

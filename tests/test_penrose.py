@@ -33,7 +33,6 @@ from chromadisk import (
     verify_partition_scheme,
 )
 from chromadisk.corpus import (
-    all_graphs_up_to_iso,
     antiprism_graph,
     complete_graph,
     cycle_graph,
@@ -44,10 +43,10 @@ from chromadisk.corpus import (
     path_graph,
     random_connected_graph,
     random_graph,
-    random_ordering,
     scheme_corpus,
 )
 from chromadisk.graphs import adjacency_masks
+from corpora import all_graphs_up_to_iso, random_ordering
 from oracles import (
     brute_force_penrose_forests,
     brute_force_penrose_trees_containing,
@@ -448,7 +447,7 @@ class TestRatio:
         assert exc.value.magnitude <= exc.value.threshold
 
     def test_vertex_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractViolationError, match=r"^vertex 7 is outside 0\.\.2$"):
             ratio_R(k3(), 7, 0.1)
 
 
