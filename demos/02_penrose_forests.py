@@ -31,10 +31,11 @@ print("closure of the star:", sorted(penrose_closure(k3, order, [(0, 1), (0, 2)]
 print("closure of the path:", sorted(penrose_closure(k3, order, [(0, 1), (1, 2)])))
 
 # %%
-# Enumerate every Penrose forest of the triangle, grouped by edge count.
+# Enumerate every Penrose forest of the triangle, grouped by edge count. A
+# forest is the frozenset of its edges.
 
-for forest in sorted(enumerate_penrose_forests(k3, order), key=lambda f: len(f.edges)):
-    print(len(forest.edges), sorted(forest.edges))
+for forest in sorted(enumerate_penrose_forests(k3, order), key=len):
+    print(len(forest), sorted(forest))
 
 # %%
 # The counts per size are the coefficients of the forest polynomial, and

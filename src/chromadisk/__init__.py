@@ -53,7 +53,6 @@ from .graphs import (
 )
 from .intpoly import IntPolynomial
 from .penrose import (
-    Forest,
     ObstructionResult,
     RootedTreeView,
     SchemeCounterexample,
@@ -87,7 +86,6 @@ __all__ = [
     "DegenerateDegreeError",
     "DomainError",
     "EnumerationCapError",
-    "Forest",
     "Graph",
     "GraphFormatError",
     "IntPolynomial",

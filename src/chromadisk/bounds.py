@@ -272,17 +272,19 @@ class ConstantsRow:
 def constants_table(step: float = 0.1) -> list[ConstantsRow]:
     """Rows (kappa, C for class 0, C for class 1, both minimizers) on a grid.
 
-    The grid is kappa = 0, step, 2 step, ..., 1; step must divide 1. A grid
-    of more than MAX_TABLE_ROWS rows is refused with EnumerationCapError
-    before anything is solved.
+    The grid is kappa = 0, step, 2 step, ..., 1; step must divide 1. A step
+    below 1e-4, a grid of more than MAX_TABLE_ROWS rows, is refused with
+    EnumerationCapError before anything is solved, whether or not it
+    divides 1. The error names the exact row count, which stays finite
+    where 1 / step overflows a float.
     """
     if not 0.0 < step <= 1.0:
         raise DomainError("step must lie in (0, 1]")
+    if 1.0 / step > MAX_TABLE_ROWS - 0.5:  # round(1 / step) + 1 > MAX_TABLE_ROWS
+        raise EnumerationCapError("constants table", round(1 / Fraction(step)) + 1, MAX_TABLE_ROWS)
     count = round(1.0 / step)
     if abs(count * step - 1.0) > 1e-9:
         raise DomainError(f"step {step} does not divide 1")
-    if count + 1 > MAX_TABLE_ROWS:
-        raise EnumerationCapError("constants table", count + 1, MAX_TABLE_ROWS)
     rows = []
     for j in range(count + 1):
         kappa = j / count

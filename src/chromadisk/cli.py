@@ -67,13 +67,18 @@ def _r6(x: float) -> float:
     return 0.0 if v == 0 else v
 
 
-def _load(path: str) -> Graph:
+def _load(path: str) -> tuple[Graph, dict, list[str]]:
+    """The graph in the file at ``path``, with the JSON document and text
+    lines its report starts from: its parse warnings, such as duplicate
+    edges, under ``"warnings"`` and as ``warning:`` lines."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc.strerror}")
-    return parse_graph(text)
+    g = parse_graph(text)
+    doc = {"warnings": list(g.parse_warnings)} if g.parse_warnings else {}
+    return g, doc, [f"warning: {w}" for w in g.parse_warnings]
 
 
 def _roots_report(roots, mark_rejected: bool) -> tuple[list[dict], list[str]]:
@@ -105,14 +110,11 @@ def _emit(doc: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def cmd_analyze(args) -> int:
-    g = _load(args.file)
+    g, doc, lines = _load(args.file)
     cap = _cap(args)
     cm = classify(g)
-    doc: dict = {"n": g.n, "m": g.m, "max_degree": g.max_degree()}
-    lines = [f"graph: n={g.n} m={g.m} max_degree={g.max_degree()}"]
-    for w in g.parse_warnings:
-        doc.setdefault("warnings", []).append(w)
-        lines.append(f"warning: {w}")
+    doc.update({"n": g.n, "m": g.m, "max_degree": g.max_degree()})
+    lines.insert(0, f"graph: n={g.n} m={g.m} max_degree={g.max_degree()}")
     doc["claw_free"] = cm.claw_free
     doc["square_free"] = cm.square_free
     doc["diamond_free"] = cm.diamond_free
@@ -247,28 +249,24 @@ def cmd_table1(args) -> int:
 
 
 def cmd_verify_scheme(args) -> int:
-    g = _load(args.file)
+    g, doc, lines = _load(args.file)
     cap = _cap(args)
     if g.n > cap:
         raise EnumerationCapError("scheme verification", g.n, cap)
     report = verify_partition_scheme(g, r_max=args.rmax)
-    doc: dict = {
-        "n": g.n,
-        "m": g.m,
-        "r_max": args.rmax,
-        "partition": {
-            "passed": report.passed,
-            "subsets_checked": report.subsets_checked,
-            "edge_sets_checked": report.edge_sets_checked,
-        },
+    doc.update({"n": g.n, "m": g.m, "r_max": args.rmax})
+    doc["partition"] = {
+        "passed": report.passed,
+        "subsets_checked": report.subsets_checked,
+        "edge_sets_checked": report.edge_sets_checked,
     }
-    lines = [
+    lines.append(
         "partition check: {} (subsets {}, connected edge sets {})".format(
             "pass" if report.passed else "FAIL",
             report.subsets_checked,
             report.edge_sets_checked,
         )
-    ]
+    )
     if report.counterexample is not None:
         ce = report.counterexample
         doc["partition"]["counterexample"] = {
@@ -303,19 +301,21 @@ def cmd_verify_scheme(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    g = _load(args.file)
+    g, doc, lines = _load(args.file)
     poly = chromatic_deletion_contraction(g, max_vertices=_cap(args))
     roots = polynomial_roots(poly)
     ill = any(r.residual >= ROOT_RESIDUAL_ACCEPT for r in roots)
     entries, root_lines = _roots_report(roots, mark_rejected=True)
-    doc = {
-        "n": g.n,
-        "m": g.m,
-        "coefficients": list(poly.coeffs),
-        "roots": entries,
-        "ill_conditioned": ill,
-    }
-    lines = [f"chromatic coefficients by degree: {list(poly.coeffs)}", *root_lines]
+    doc.update(
+        {
+            "n": g.n,
+            "m": g.m,
+            "coefficients": list(poly.coeffs),
+            "roots": entries,
+            "ill_conditioned": ill,
+        }
+    )
+    lines += [f"chromatic coefficients by degree: {list(poly.coeffs)}", *root_lines]
     if ill:
         lines.append("warning: polynomial ill-conditioned, at least one residual >= 1e-8")
     _emit(doc, args.json, lines)

@@ -9,6 +9,11 @@ two components together (no graph edge between components qualifies, which for
 vertex-disjoint trees is automatic since closure edges stay inside one tree's
 vertex set).
 
+A forest is a frozenset of edges. One walk, ``_rooted_components``, splits a
+given edge set into trees, refusing edges outside the graph and cycles, and
+roots each at its order-least vertex with its depth and father maps. The
+forest checks read every tree from it; ``RootedTreeView`` is its one-tree case.
+
 Every enumeration grows trees from a fixed root, the order-least vertex it may
 use, so a vertex's depth and father never change once it is attached and the
 chords it closes are known then. One rule, ``_closure_chords``, lists them; it
@@ -109,6 +114,39 @@ def _checked_ordering(g: Graph, ordering: VertexOrdering | None) -> VertexOrderi
     return ordering
 
 
+def _rooted_components(g: Graph, ordering: VertexOrdering, edges, refuse_cycles=True):
+    """(edge set, trees): ``edges`` as (low, high) pairs, and each of its trees
+    as (root, depth, father), rooted at its order-least vertex under the
+    checked ``ordering``, in the order of their roots. This is the one walk
+    that roots an arbitrary edge set. An edge outside the graph is refused,
+    and so is a cycle unless ``refuse_cycles`` is false, when the trees span
+    the components.
+    """
+    es = frozenset((u, v) if u < v else (v, u) for u, v in edges)
+    adj: dict[int, list[int]] = {}
+    for u, v in es:
+        if (u, v) not in g.edges:
+            raise ContractViolationError(f"edge {(u, v)} is not in the graph")
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    trees, seen = [], set()
+    for root in sorted(adj, key=ordering.rank.__getitem__):
+        if root in seen:
+            continue
+        depth, father, queue = {root: 0}, {}, [root]
+        for x in queue:  # breadth first: the queue grows as it is read
+            for y in adj[x]:
+                if y not in depth:
+                    depth[y] = depth[x] + 1
+                    father[y] = x
+                    queue.append(y)
+        seen.update(depth)
+        trees.append((root, depth, father))
+    if refuse_cycles and len(es) != len(adj) - len(trees):
+        raise ContractViolationError("edge set contains a cycle")
+    return es, trees
+
+
 class RootedTreeView:
     """A tree-shaped edge subset with root, depth, and father maps.
 
@@ -119,39 +157,20 @@ class RootedTreeView:
 
     def __init__(self, g: Graph, ordering: VertexOrdering, edges):
         ordering = _checked_ordering(g, ordering)
-        es = {(u, v) if u < v else (v, u) for u, v in edges}
-        for e in es:
-            if e not in g.edges:
-                raise ContractViolationError(f"edge {e} is not in the graph")
-        verts = {x for e in es for x in e}
+        es, trees = _rooted_components(g, ordering, edges, refuse_cycles=False)
         if not es:
             raise ContractViolationError("tree view needs at least one edge")
-        if len(verts) != len(es) + 1:
+        if sum(len(depth) for _, depth, _ in trees) != len(es) + 1:
             raise ContractViolationError("edge set is not a tree")
-        root = ordering.least(verts)
-        depth = {root: 0}
-        father: dict[int, int] = {}
-        adj: dict[int, list[int]] = {v: [] for v in verts}
-        for u, v in es:
-            adj[u].append(v)
-            adj[v].append(u)
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if y not in depth:
-                        depth[y] = depth[x] + 1
-                        father[y] = x
-                        nxt.append(y)
-            frontier = nxt
-        if len(depth) != len(verts):
+        if len(trees) > 1:
             raise ContractViolationError("edge set is not connected")
-        self.edges = frozenset(es)
-        self.vertices = frozenset(verts)
-        self.root = root
-        self.depth = depth
-        self.father = father
+        ((self.root, self.depth, self.father),) = trees
+        self.edges, self.vertices = es, frozenset(self.depth)
+
+
+def _chords(g: Graph, rank, depth, father) -> list:
+    """The closure chords of a rooted tree given by its depth and father maps."""
+    return [c for w, x in father.items() for c in _closure_chords(g.adj, rank, depth, w, x)]
 
 
 def penrose_closure(g: Graph, ordering: VertexOrdering, tree) -> frozenset:
@@ -163,10 +182,7 @@ def penrose_closure(g: Graph, ordering: VertexOrdering, tree) -> frozenset:
     """
     ordering = _checked_ordering(g, ordering)
     t = tree if isinstance(tree, RootedTreeView) else RootedTreeView(g, ordering, tree)
-    out = set(t.edges)
-    for w, x in t.father.items():
-        out.update(_closure_chords(g.adj, ordering.rank, t.depth, w, x))
-    return frozenset(out)
+    return t.edges.union(_chords(g, ordering.rank, t.depth, t.father))
 
 
 def is_penrose_tree(g: Graph, ordering: VertexOrdering, tree) -> bool:
@@ -175,56 +191,15 @@ def is_penrose_tree(g: Graph, ordering: VertexOrdering, tree) -> bool:
     return penrose_closure(g, ordering, t) == t.edges
 
 
-@dataclass(frozen=True)
-class Forest:
-    """Vertex-disjoint union of trees, stored with its component split."""
-
-    edges: frozenset
-    components: tuple[frozenset, ...]
-
-    @classmethod
-    def from_edges(cls, edges) -> "Forest":
-        es = {(u, v) if u < v else (v, u) for u, v in edges}
-        parent: dict[int, int] = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in es:
-            parent.setdefault(u, u)
-            parent.setdefault(v, v)
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise ContractViolationError("edge set contains a cycle")
-            parent[ru] = rv
-        groups: dict[int, set] = {}
-        for u, v in sorted(es):
-            groups.setdefault(find(u), set()).add((u, v))
-        comps = tuple(
-            frozenset(c) for c in sorted(groups.values(), key=lambda c: min(c))
-        )
-        return cls(edges=frozenset(es), components=comps)
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.components)
-
-    @property
-    def vertices(self) -> frozenset:
-        return frozenset(x for e in self.edges for x in e)
-
-
 def is_penrose_forest(g: Graph, ordering: VertexOrdering, forest) -> bool:
-    """True when every component tree equals its closure.
+    """True when every tree of the edge set ``forest`` equals its closure.
 
     Closure acts componentwise, so no cross-component gluing can occur and
     the componentwise check is the whole condition.
     """
-    f = forest if isinstance(forest, Forest) else Forest.from_edges(forest)
-    return all(is_penrose_tree(g, ordering, comp) for comp in f.components)
+    ordering = _checked_ordering(g, ordering)
+    _, trees = _rooted_components(g, ordering, forest)
+    return not any(_chords(g, ordering.rank, depth, father) for _, depth, father in trees)
 
 
 def _sorted_adj(g: Graph) -> list[tuple[int, ...]]:
@@ -393,7 +368,8 @@ def penrose_tree_series(
 
 
 def enumerate_penrose_forests(g: Graph, ordering: VertexOrdering | None = None):
-    """Yield every Penrose forest of the graph, the empty forest included.
+    """Yield the edge set of every Penrose forest of the graph, as a frozenset
+    of (low, high) pairs, the empty forest included.
 
     Components are chosen root by root in increasing order, so each forest
     appears exactly once. Graphs above ``DEFAULT_FOREST_CAP`` vertices are
@@ -407,17 +383,15 @@ def enumerate_penrose_forests(g: Graph, ordering: VertexOrdering | None = None):
 
     def rec(avail, acc):
         if not avail:
-            yield Forest(
-                edges=frozenset(e for c in acc for e in c), components=tuple(acc)
-            )
+            yield acc
             return
         v = min(avail, key=rank.__getitem__)
         yield from rec(avail - {v}, acc)
         for _, tree, _ in _grow_trees(adj, rank, (v,), avail, True):
             if tree:
-                yield from rec(avail.difference(*tree), acc + [frozenset(tree)])
+                yield from rec(avail.difference(*tree), acc.union(tree))
 
-    return rec(frozenset(range(g.n)), [])
+    return rec(frozenset(range(g.n)), frozenset())
 
 
 def penrose_polynomial(
@@ -698,38 +672,24 @@ def obstruction_check(
         raise ContractViolationError("anchors must be neighbors of u")
     if v2 in g.adj[v1]:
         raise ContractViolationError("anchors must be non-adjacent")
-    f = forest if isinstance(forest, Forest) else Forest.from_edges(forest)
-    if not f.components:
+    es, trees = _rooted_components(g, ordering, forest)
+    if not es:
         raise ContractViolationError("forest must have at least one edge")
-    if u in f.vertices:
+    if any(u in depth for _, depth, _ in trees):
         raise ContractViolationError("forest must avoid u")
-    if not is_penrose_forest(g, ordering, f):
+    if any(_chords(g, rank, depth, father) for _, depth, father in trees):
         raise ContractViolationError("forest must be Penrose")
-    tau1 = tau2 = frozenset()
-    for comp in f.components:
-        verts = {x for e in comp for x in e}
-        if v1 in verts and v2 in verts:
+    # Every other vertex comes after u, v1 and v2, so a tree holding v1 is
+    # rooted at v1 and one holding v2 but not v1 at v2. Depths count from the
+    # anchors, not from u, which shifts both sides alike.
+    by_anchor = {v1: ({}, {}), v2: ({}, {})}
+    for root, depth, father in trees:
+        if v1 in depth and v2 in depth:
             raise ContractViolationError("anchors must lie in different components")
-        if v1 in verts:
-            tau1 = comp
-        elif v2 in verts:
-            tau2 = comp
-        else:
+        if root not in by_anchor:
             raise ContractViolationError("every component must contain an anchor")
-
-    def levels(comp, root):
-        if not comp:
-            return {}, {}
-        view = RootedTreeView(g, ordering, comp)
-        if view.root != root:
-            raise ContractViolationError("component not rooted at its anchor")
-        depth = {x: d + 1 for x, d in view.depth.items()}
-        father = dict(view.father)
-        father[root] = u
-        return depth, father
-
-    d1, f1 = levels(tau1, v1)
-    d2, f2 = levels(tau2, v2)
+        by_anchor[root] = depth, father
+    (d1, f1), (d2, f2) = by_anchor[v1], by_anchor[v2]
 
     violated = None
     for x in sorted(d1):
@@ -749,7 +709,7 @@ def obstruction_check(
             break
     if violated is None:
         for x, d in d1.items():
-            if d == 2 and v2 in g.adj[x]:
+            if d == 1 and v2 in g.adj[x]:
                 violated = "c"
                 break
     return ObstructionResult(penrose=violated is None, violated_by=violated)

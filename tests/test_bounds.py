@@ -281,8 +281,21 @@ class TestTable:
         with pytest.raises(EnumerationCapError) as exc:
             constants_table(step=1 / 10_001)
         assert exc.value.size == 10_002
+        # a step below 1e-4 is refused by its row count even when it does not divide 1
+        with pytest.raises(EnumerationCapError) as exc:
+            constants_table(step=3e-5)
+        assert exc.value.size == 33_334
         assert calls == []
         assert len(constants_table(step=1e-4)) == MAX_TABLE_ROWS == 10_001
+
+    @pytest.mark.parametrize("step", [1e-320, 5e-324, 1e-308])
+    def test_refuses_step_whose_reciprocal_overflows(self, monkeypatch, step):
+        calls = []
+        monkeypatch.setattr(bounds, "minimize_c", lambda i, kappa: calls.append(kappa))
+        with pytest.raises(EnumerationCapError) as exc:
+            constants_table(step=step)
+        assert exc.value.size == round(1 / Fraction(step)) + 1 > 10**307
+        assert calls == []
 
 
 class TestKappaConversion:

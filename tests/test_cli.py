@@ -117,12 +117,17 @@ class TestAnalyze:
         assert run(capsys, "analyze", path, "--json") == plain
         assert json.loads(plain[1])["chromatic"]["computed"] is False
 
-    def test_duplicate_edge_warning_surfaces(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["analyze", "roots", "verify-scheme"])
+    def test_duplicate_edge_warning_surfaces(self, tmp_path, capsys, command):
         p = tmp_path / "dup.txt"
         p.write_text("3 3\n0 1\n0 1\n1 2\n")
-        code, out, _ = run(capsys, "analyze", str(p))
+        code, out, _ = run(capsys, command, str(p))
         assert code == 0
-        assert "warning: line 3: duplicate edge 0 1" in out
+        warning = "line 3: duplicate edge 0 1 (first seen on line 2)"
+        assert f"warning: {warning}" in out.splitlines()
+        code, out, _ = run(capsys, command, str(p), "--json")
+        assert code == 0
+        assert json.loads(out)["warnings"] == [warning]
 
 
 class TestBounds:
@@ -222,6 +227,11 @@ class TestTable:
         assert code == 2
         assert out == ""
         assert "constants table: size 1000000001 exceeds cap 10001" in err
+
+    def test_step_with_overflowing_reciprocal_exits_two(self, capsys):
+        code, out, err = run(capsys, "table1", "--step", "1e-320")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: constants table: size ") and err.count("\n") == 1
 
 
 class TestVerifyScheme:

@@ -10,7 +10,6 @@ from chromadisk import (
     ConditioningError,
     ContractViolationError,
     EnumerationCapError,
-    Forest,
     Graph,
     IntPolynomial,
     RootedTreeView,
@@ -124,20 +123,27 @@ class TestRootedTreeView:
         assert t.depth[0] == 2
 
     def test_rejects_cycle(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^edge set is not a tree$"):
             RootedTreeView(k3(), nat(3), [(0, 1), (1, 2), (0, 2)])
 
     def test_rejects_disconnected(self):
+        # two edges on four vertices fail the edge count before connectivity
         g = Graph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^edge set is not a tree$"):
             RootedTreeView(g, nat(4), [(0, 1), (2, 3)])
 
+    def test_rejects_cycle_beside_another_tree(self):
+        # a triangle and an edge: one more vertex than edges, yet two trees
+        g = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        with pytest.raises(ContractViolationError, match="^edge set is not connected$"):
+            RootedTreeView(g, nat(5), [(0, 1), (1, 2), (0, 2), (3, 4)])
+
     def test_rejects_non_graph_edge(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match=r"^edge \(0, 2\) is not in the graph$"):
             RootedTreeView(path_graph(3), nat(3), [(0, 2)])
 
     def test_rejects_empty(self):
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^tree view needs at least one edge$"):
             RootedTreeView(path_graph(3), nat(3), [])
 
 
@@ -194,26 +200,36 @@ class TestPenroseRecognition:
         o = nat(7)
         for forest in enumerate_penrose_forests(g):
             # closure of the whole forest is the union of component closures
+            _, trees = penrose._rooted_components(g, o, forest)
             union = frozenset()
-            for comp in forest.components:
-                union |= penrose_closure(g, o, comp)
-            assert union == forest.edges
+            for _, _, father in trees:
+                union |= penrose_closure(g, o, father.items())
+            assert union == forest
 
 
 class TestForestType:
+    """A forest is a frozenset of edges, split and rooted by one walk."""
+
     def test_components_split(self):
-        f = Forest.from_edges([(0, 1), (2, 3), (3, 4)])
-        assert f.n_trees == 2
-        assert frozenset({(2, 3), (3, 4)}) in f.components
+        g = path_graph(5)
+        forest = [(1, 0), (2, 3), (3, 4)]
+        es, trees = penrose._rooted_components(g, nat(5), forest)
+        assert es == frozenset({(0, 1), (2, 3), (3, 4)})
+        assert trees == [(0, {0: 0, 1: 1}, {1: 0}), (2, {2: 0, 3: 1, 4: 2}, {3: 2, 4: 3})]
+        # each tree is rooted at its order-least vertex, listed by root order
+        o = VertexOrdering.from_order([4, 3, 2, 1, 0])
+        _, trees = penrose._rooted_components(g, o, forest)
+        assert trees == [(4, {4: 0, 3: 1, 2: 2}, {3: 4, 2: 3}), (1, {1: 0, 0: 1}, {0: 1})]
 
     def test_empty_forest(self):
-        f = Forest.from_edges([])
-        assert f.n_trees == 0
-        assert f.vertices == frozenset()
+        assert penrose._rooted_components(k3(), nat(3), []) == (frozenset(), [])
+        assert frozenset() in set(enumerate_penrose_forests(k3()))
 
     def test_rejects_cycle(self):
-        with pytest.raises(ContractViolationError):
-            Forest.from_edges([(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ContractViolationError, match="^edge set contains a cycle$"):
+            penrose._rooted_components(k3(), nat(3), [(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ContractViolationError, match="^edge set contains a cycle$"):
+            is_penrose_forest(k3(), nat(3), [(0, 1), (1, 2), (0, 2)])
 
 
 class TestEnumeration:
@@ -230,24 +246,30 @@ class TestEnumeration:
         g = random_graph(6, 0.6, seed=9)
         counts = {}
         for f in enumerate_penrose_forests(g):
-            counts[len(f.edges)] = counts.get(len(f.edges), 0) + 1
+            counts[len(f)] = counts.get(len(f), 0) + 1
         p = penrose_polynomial(g)
         assert counts == {k: p.coeff(k) for k in range(p.degree + 1) if p.coeff(k)}
 
     def test_forests_unique(self):
         g = random_graph(6, 0.5, seed=31)
-        seen = [f.edges for f in enumerate_penrose_forests(g)]
+        seen = list(enumerate_penrose_forests(g))
         assert len(seen) == len(set(seen))
 
     def test_exhaustive_against_brute_force_small(self):
         for n in range(1, 6):
             for g in all_graphs_up_to_iso(n):
-                for seed in (0, 1):
-                    o = VertexOrdering.from_order(random_ordering(n, seed + 10 * n))
-                    got = [f.edges for f in enumerate_penrose_forests(g, o)]
-                    want = brute_force_penrose_forests(g, o)
+                shuffled = [random_ordering(n, seed + 10 * n) for seed in (0, 1)]
+                for o in [nat(n), *map(VertexOrdering.from_order, shuffled)]:
+                    got = list(enumerate_penrose_forests(g, o))
                     assert len(got) == len(set(got))
-                    assert set(got) == set(want)
+                    assert set(got) == set(brute_force_penrose_forests(g, o))
+
+    def test_forest_equals_its_edge_set(self):
+        # under this order the tree on {2, 3} is chosen before the one on {0, 1}
+        g = Graph(4, [(0, 1), (2, 3)])
+        got = set(enumerate_penrose_forests(g, VertexOrdering.from_order([2, 3, 0, 1])))
+        assert got == {frozenset(), frozenset({(0, 1)}), frozenset({(2, 3)}),
+                       frozenset({(0, 1), (2, 3)})}
 
     def test_cap_refused_eagerly(self):
         big = Graph(13, [(i, i + 1) for i in range(12)])
@@ -710,26 +732,38 @@ class TestObstruction:
     def test_empty_forest_rejected(self):
         g = cycle_graph(4)
         o = VertexOrdering.anchored_at_pair(g, 0, 1, 3)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^forest must have at least one edge$"):
             obstruction_check(g, o, 0, (1, 3), [])
 
     def test_adjacent_anchors_rejected(self):
         g = k3()
         o = nat(3)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^anchors must be non-adjacent$"):
             obstruction_check(g, o, 0, (1, 2), [(1, 2)])
 
     def test_forest_touching_u_rejected(self):
         g = cycle_graph(4)
         o = VertexOrdering.anchored_at_pair(g, 0, 1, 3)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^forest must avoid u$"):
             obstruction_check(g, o, 0, (1, 3), [(0, 1)])
 
     def test_anchorless_component_rejected(self):
         g = Graph(6, [(0, 1), (0, 2), (4, 5)])
         o = VertexOrdering.anchored_at_pair(g, 0, 1, 2)
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^every component must contain an anchor$"):
             obstruction_check(g, o, 0, (1, 2), [(4, 5)])
+
+    def test_anchors_sharing_a_tree_rejected(self):
+        g = cycle_graph(4)  # the path 1-2-3 joins both anchors of u = 0
+        o = VertexOrdering.anchored_at_pair(g, 0, 1, 3)
+        with pytest.raises(ContractViolationError, match="^anchors must lie in different components$"):
+            obstruction_check(g, o, 0, (1, 3), [(1, 2), (2, 3)])
+
+    def test_non_penrose_forest_rejected(self):
+        g = Graph(5, [(0, 1), (0, 2), (1, 3), (1, 4), (3, 4)])
+        o = VertexOrdering.anchored_at_pair(g, 0, 1, 2)
+        with pytest.raises(ContractViolationError, match="^forest must be Penrose$"):
+            obstruction_check(g, o, 0, (1, 2), [(1, 3), (1, 4)])
 
     def test_matches_direct_closure_on_c5(self):
         g = cycle_graph(5)
